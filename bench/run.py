@@ -5,7 +5,8 @@
 Run from the root of a checkout.  Closed loop, one client: rounds run one
 after another, each in a fresh interpreter and its own temporary working
 directory (the configs name ``output.directory: "out"``, which overrides
-``--out``), until another round would end after S seconds.  Every round runs
+``--out``), at least twice and until another round would end after S
+seconds.  Every round runs
 the same config and command; its stages are the operations counted in
 ``attempted``, and a stage that does not PASS counts in ``failed``.  The
 artifacts of every round are checked against oracles computed from the config
@@ -39,6 +40,7 @@ from tracing import PER_LAYER  # noqa: E402
 from workloads import WORKLOADS, make_config, program_seed  # noqa: E402
 
 ROUND_TIMEOUT_S = 150.0
+MIN_ROUNDS = 2      # so that every run sets up, and times, more than once
 
 
 def run_round(root: Path, workload, cfg: dict, seed: int, trace_file: Path | None):
@@ -106,7 +108,7 @@ def main(argv=None) -> int:
         failures += [(name, detail) for name, ok, detail in checks if not ok]
         (traced if trace_file else rounds).append(report)
         elapsed = time.monotonic() - start
-        if args.trace and not traced:
+        if len(durations) < MIN_ROUNDS:
             continue
         if elapsed + max(durations) > args.seconds:
             break
