@@ -1,5 +1,8 @@
 """The benchmark's workloads: which config, which command, which stages.
 
+``BENCHMARK.json`` times all but ``viscous_sweep``, which runs by hand (see
+README.md for why).
+
 Each workload's config is a file in ``configs/`` owned by the benchmark.  The
 seed makes the inputs.  For the deterministic pipelines it adds a constant in
 [-0.5, 0.5) to V: every critical value and c(eps) moves by that constant,
