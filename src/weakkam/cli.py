@@ -21,13 +21,12 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, WeakKamError
 from .model import model_from_config, verify_hypotheses
-from .dynamics import aubry_orbits
+from .dynamics import aubry_orbits, orbit_window
 from .orbit_hessian import fd_crosscheck, lambda_averages, unstable_hessian_curve
 from .variational import (GridSpec, anchored_barrier, aubry_verify, barrier_matrix,
-                          build_kernels, critical_value, min_cycle_residual)
-from .viscous import regularity_report, residual_check, solve_cell
-from .vv_analysis import (example_verify, orbit_window, rescale_check, slope_fit,
-                          sweep)
+                          build_kernels, critical_value)
+from .viscous import residual_check, solve_cell
+from .vv_analysis import example_verify, rescale_check, slope_fit, sweep
 from .stochastic import (DriftField, StaticCenter, exit_time_scaling, lax_residual)
 
 COMMANDS = ("orbits", "critical", "barrier", "viscous", "sweep", "rescale",
@@ -227,12 +226,9 @@ class _Pipeline:
 
     def stage_critical(self):
         cv = self.c0
-        residual = min_cycle_residual(self.kernels, cv.c)
         results = {"c": cv.c, "c_karp": cv.c_karp, "c_power": cv.c_power,
-                   "agreement": cv.agreement, "exact_regime": cv.exact_regime,
-                   "shifted_min_cycle_mean": residual}
-        ok = cv.agreement <= 1e-6 and residual >= -1e-6
-        return results, {}, ok
+                   "agreement": cv.agreement, "exact_regime": cv.exact_regime}
+        return results, {}, cv.agreement <= 1e-6
 
     def stage_barrier(self):
         fields = self.fields
@@ -272,10 +268,9 @@ class _Pipeline:
                 self.model, e, self.grid, cell_tol=self.numerics["cell_tol"],
                 max_periods=int(self.numerics["max_periods"]),
                 lip_cap=self.numerics["lip_cap"]))
-            lip, semi = regularity_report(sol)
             res = residual_check(self.model, sol)
-            records.append({"epsilon": eps, "c_eps": sol.c_eps, "lip_x": lip,
-                            "semiconvexity_const": semi,
+            records.append({"epsilon": eps, "c_eps": sol.c_eps, "lip_x": sol.lip_x,
+                            "semiconvexity_const": sol.semiconvexity_const,
                             "periodicity_residual": sol.periodicity_residual,
                             "operator_residual": res,
                             "n_periods": sol.n_periods,
@@ -430,9 +425,13 @@ class _Pipeline:
     }
 
 
-def run_config(path: str, command: str, out_dir: str = ".",
-               seed_override: int | None = None, workers: int = 1) -> int:
-    """Execute a pipeline command; returns the process exit status."""
+def run_config(path: str, command: str, out_dir: str | None = None,
+               seed_override: int | None = None) -> int:
+    """Execute a pipeline command; returns the process exit status.
+
+    Artifacts go to ``out_dir`` when given, else to the config's
+    ``output.directory``, else to the working directory.
+    """
     try:
         cfg = load_config(path)
     except ConfigError as exc:
@@ -440,7 +439,8 @@ def run_config(path: str, command: str, out_dir: str = ".",
         return 1
     if seed_override is not None:
         cfg.setdefault("stochastic", {})["seed"] = int(seed_override)
-    out_dir = cfg.get("output", {}).get("directory", out_dir) or out_dir
+    if out_dir is None:
+        out_dir = cfg.get("output", {}).get("directory") or "."
 
     if command not in COMMANDS:
         print(f"unknown command {command!r}; choose from {COMMANDS}",
@@ -486,15 +486,15 @@ def main(argv=None) -> int:
                     "vanishing-viscosity selection on the circle")
     parser.add_argument("--config", required=True, help="experiment config JSON")
     parser.add_argument("--command", default="all", choices=COMMANDS)
-    parser.add_argument("--out", default=".", help="output directory")
+    parser.add_argument("--out", default=None,
+                        help="output directory (default: the config's "
+                             "output.directory, else the working directory)")
     parser.add_argument("--seed", type=int, default=None,
                         help="override stochastic.seed")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker pool size (results are worker-count independent)")
     args = parser.parse_args(argv)
     try:
         return run_config(args.config, args.command, out_dir=args.out,
-                          seed_override=args.seed, workers=args.workers)
+                          seed_override=args.seed)
     except WeakKamError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -269,6 +269,14 @@ def classify_orbit(model: HamiltonianModel, orbit: PeriodicOrbit,
     return replace(orbit, floquet_exponents=exponents, hyperbolic=hyperbolic)
 
 
+def orbit_window(orbits: list[PeriodicOrbit]) -> int:
+    """Least common multiple of the orbit periods."""
+    window = 1
+    for orbit in orbits:
+        window = window * orbit.period // math.gcd(window, orbit.period)
+    return window
+
+
 def potential_maxima(model: HamiltonianModel, n_scan: int = 4096) -> list[float]:
     """Nondegenerate maxima of the potential in [0, cell) via sign changes of V'."""
     cell = 1.0 / model.wind if model.family == TRAVELING_WAVE else 1.0
@@ -276,12 +284,20 @@ def potential_maxima(model: HamiltonianModel, n_scan: int = 4096) -> list[float]
     d1 = model.potential.d1(xs)
     maxima = []
     for i in range(n_scan):
-        a, b = xs[i], xs[(i + 1) % n_scan] if i + 1 < n_scan else cell
-        fa, fb = d1[i], model.potential.d1(b)
+        # the sign test reads both ends from the one vectorised sample
+        # (V'(cell) = V'(0)); at a root lying on a scan point the scalar V'
+        # that brentq evaluates can differ from it in sign, and the root is
+        # then the end where the scalar |V'| is smaller
+        a, b = xs[i], xs[i + 1] if i + 1 < n_scan else cell
+        fa, fb = d1[i], d1[(i + 1) % n_scan]
         if fa == 0.0:
             root = float(a)
         elif fa * fb < 0.0:
-            root = float(brentq(model.potential.d1, a, b, xtol=1e-14))
+            ga, gb = model.potential.d1(a), model.potential.d1(b)
+            if ga * gb <= 0.0:
+                root = float(brentq(model.potential.d1, a, b, xtol=1e-14))
+            else:
+                root = float(a if abs(ga) < abs(gb) else b)
         else:
             continue
         if model.potential.d2(root) < -1e-8:
@@ -353,9 +369,7 @@ def _confirm_by_barrier_diagonal(model, orbits, grid_shape, tol):
     grid = GridSpec(*grid_shape)
     kernels = build_kernels(model, grid)
     c = critical_value(kernels).c
-    window = 1
-    for orbit in orbits:
-        window = window * orbit.period // math.gcd(window, orbit.period)
+    window = orbit_window(orbits)
     confirmed = []
     for orbit in orbits:
         fld = anchored_barrier(kernels, c, orbit.anchor.x, window=window)

@@ -88,10 +88,6 @@ class PotentialSpec:
         xs = np.arange(n) / n
         return float(np.min(self.value(xs)))
 
-    def max_on_grid(self, n: int = 8192) -> float:
-        xs = np.arange(n) / n
-        return float(np.max(self.value(xs)))
-
     def is_subperiodic(self, k: int) -> bool:
         """True when every active frequency is a multiple of k (V is 1/k-periodic)."""
         return all(f % k == 0 for f, c, s in self.terms if c != 0.0 or s != 0.0)

@@ -5,16 +5,33 @@ Per-path noise streams come from counter-based generators keyed by (root seed,
 path index), so path i is bit-reproducible and independent of the ensemble
 size.  Exit times are always reported capped, tau ^ kappa, together with the
 capped fraction.
+
+All ensembles run through one stepping core, ``_euler_maruyama``.  Paths go
+in blocks of ``BLOCK_PATHS``; each live path draws its noise ``CHUNK_STEPS``
+steps at a time.  At every step n = 0..n_steps the core evaluates
+u = U(X, t0 + n dt) for the live paths and calls
+
+    observe(idx, X, u, n, s) -> stop mask or None
+
+with the paths' global indices ``idx``, positions ``X``, drifts ``u`` and the
+time s = t0 + n dt; the observer must not modify ``X`` or ``u``.  It may
+return a boolean mask over the live paths: those paths are dropped before the
+update X + u dt + sqrt(2 eps dt) xi and draw no further noise.  As every path
+owns its generator, dropping a path leaves every other path's stream position
+untouched, so the samples of a path do not depend on its neighbours, the block
+size or the chunk size.  The drivers are observers: ``simulate_paths`` stores
+X, ``exit_times`` stops paths on leaving the tube, and ``lax_residual``
+accumulates the running Lagrangian cost.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 import numpy as np
 
-from .errors import ConfigError, WeakKamError
+from .errors import ConfigError
 from .variational import BarrierField, GridSpec
 from .viscous import ViscousSolution
 
@@ -41,19 +58,11 @@ class DriftField:
     @classmethod
     def from_viscous(cls, model, sol: ViscousSolution) -> "DriftField":
         """Optimal control U = H_p(x, D phi_eps, t) from the converged profile."""
-        grid = sol.grid
-        dx = grid.dx
-        grad = (np.roll(sol.phi, -1, axis=0) - np.roll(sol.phi, 1, axis=0)) / (2 * dx)
-        xs = grid.nodes()
-        U = np.empty_like(grad)
-        for j in range(grid.nt):
-            U[:, j] = model.h_p_of_gradient(xs, grad[:, j], j / grid.nt)
-        return cls(kind=OPTIMAL_FROM_VISCOUS, grid=grid, values=U)
+        return cls._from_profile(OPTIMAL_FROM_VISCOUS, model, sol.grid, sol.phi)
 
     @classmethod
     def from_barrier(cls, model, fld: BarrierField, smooth_passes: int = 2) -> "DriftField":
         """Drift of the descending barrier profile -h, lightly mollified in x."""
-        grid = fld.grid
         h = fld.h.copy()
         kernel = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
         for _ in range(smooth_passes):
@@ -61,32 +70,39 @@ class DriftField:
             for k, w in zip(range(-2, 3), kernel):
                 acc += w * np.roll(h, k, axis=0)
             h = acc
-        dx = grid.dx
-        grad = (np.roll(-h, -1, axis=0) - np.roll(-h, 1, axis=0)) / (2 * dx)
-        xs = grid.nodes()
-        U = np.empty_like(grad)
-        for j in range(grid.nt):
-            U[:, j] = model.h_p_of_gradient(xs, grad[:, j], j / grid.nt)
-        return cls(kind=BARRIER_DRIFT, grid=grid, values=U)
+        return cls._from_profile(BARRIER_DRIFT, model, fld.grid, -h)
+
+    @classmethod
+    def _from_profile(cls, kind: str, model, grid: GridSpec, profile) -> "DriftField":
+        """U = H_p(x, D profile, t) with the centered difference in x."""
+        grad = (np.roll(profile, -1, axis=0) - np.roll(profile, 1, axis=0)) / (2 * grid.dx)
+        U = model.h_p_of_gradient(grid.nodes()[:, None], grad, grid.substep_times()[None, :])
+        return cls(kind=kind, grid=grid, values=U)
 
     def __call__(self, x, s):
         """Evaluate the drift at positions x (array) and scalar time s."""
         if self.kind == ZERO:
             return np.zeros_like(np.asarray(x, dtype=float))
-        nx, nt = self.grid.nx, self.grid.nt
-        xv = np.asarray(x, dtype=float) % 1.0
-        pos = xv * nx
-        i0 = np.floor(pos).astype(int) % nx
-        wx = pos - np.floor(pos)
-        tpos = (s % 1.0) * nt
-        j0 = int(math.floor(tpos)) % nt
-        wt = tpos - math.floor(tpos)
-        j1 = (j0 + 1) % nt
-        v00 = self.values[i0, j0]
-        v10 = self.values[(i0 + 1) % nx, j0]
-        v01 = self.values[i0, j1]
-        v11 = self.values[(i0 + 1) % nx, j1]
-        return (1 - wt) * ((1 - wx) * v00 + wx * v10) + wt * ((1 - wx) * v01 + wx * v11)
+        return _bilinear(self.values, x, s)
+
+
+def _bilinear(table: np.ndarray, x, t: float):
+    """Bilinear interpolation of a 1-periodic (nx, nt) table at positions x, scalar time t.
+
+    Crossing the period boundary in t re-enters the table at column 0: both
+    tabulated fields (drift and viscous profile) are 1-periodic in time.
+    """
+    nx, nt = table.shape
+    pos = (np.asarray(x, dtype=float) % 1.0) * nx
+    i0 = np.floor(pos).astype(int) % nx
+    i1 = (i0 + 1) % nx
+    wx = pos - np.floor(pos)
+    tpos = (t % 1.0) * nt
+    j0 = int(math.floor(tpos)) % nt
+    j1 = (j0 + 1) % nt
+    wt = tpos - math.floor(tpos)
+    return ((1 - wt) * ((1 - wx) * table[i0, j0] + wx * table[i1, j0])
+            + wt * ((1 - wx) * table[i0, j1] + wx * table[i1, j1]))
 
 
 @dataclass
@@ -118,34 +134,50 @@ def _path_generators(seed: int, lo: int, hi: int):
             for i in range(lo, hi)]
 
 
-def simulate_paths(model, drift: DriftField, epsilon: float, n_paths: int,
-                   dt: float, seed: int, kappa: float, start_x: float = 0.0,
-                   start_t: float = 0.0, store_paths: bool = True) -> SdeEnsemble:
-    """Euler-Maruyama ensemble from a common start; paths stored when requested."""
-    if dt <= 0:
-        raise ConfigError("dt must be positive", field="stochastic.dt")
-    n_steps = int(round(kappa / dt))
+def _euler_maruyama(drift: DriftField, x0: float, epsilon: float, dt: float,
+                    n_steps: int, seed: int, t0: float, n_paths: int, observe) -> None:
+    """The one Euler-Maruyama loop; ``observe`` sees every live path at every step.
+
+    See the module docstring for the observer contract.
+    """
     sigma = math.sqrt(2.0 * epsilon * dt)
-    paths = np.empty((n_paths, n_steps + 1)) if store_paths else None
-    x_final = np.empty(n_paths)
     for lo in range(0, n_paths, BLOCK_PATHS):
         hi = min(lo + BLOCK_PATHS, n_paths)
         gens = _path_generators(seed, lo, hi)
-        X = np.full(hi - lo, float(start_x))
-        if store_paths:
-            paths[lo:hi, 0] = X
-        done = 0
-        step = 0
-        while step < n_steps:
-            chunk = min(CHUNK_STEPS, n_steps - step)
-            noise = np.stack([g.standard_normal(chunk) for g in gens])
-            for m in range(chunk):
-                s = start_t + (step + m) * dt
-                X = X + drift(X, s) * dt + sigma * noise[:, m]
-                if store_paths:
-                    paths[lo:hi, step + m + 1] = X
-            step += chunk
-        x_final[lo:hi] = X
+        idx = np.arange(lo, hi)
+        X = np.full(hi - lo, float(x0))
+        rows = np.arange(hi - lo)    # live paths' columns in the noise chunk
+        for n in range(n_steps + 1):
+            s = t0 + n * dt
+            u = drift(X, s)
+            stop = observe(idx, X, u, n, s)
+            if stop is not None and np.any(stop):
+                keep = ~stop
+                idx, X, u, rows = idx[keep], X[keep], u[keep], rows[keep]
+            if n == n_steps or not idx.size:
+                break
+            m = n % CHUNK_STEPS
+            if m == 0:
+                # (chunk, live paths): row m holds the step's noise, contiguous
+                noise = np.stack([gens[i - lo].standard_normal(min(CHUNK_STEPS, n_steps - n))
+                                  for i in idx], axis=1)
+                rows = np.arange(idx.size)
+            X = X + u * dt + sigma * noise[m, rows]
+
+
+def simulate_paths(model, drift: DriftField, epsilon: float, n_paths: int,
+                   dt: float, seed: int, kappa: float, start_x: float = 0.0,
+                   start_t: float = 0.0) -> SdeEnsemble:
+    """Euler-Maruyama ensemble from a common start, every path stored."""
+    if dt <= 0:
+        raise ConfigError("dt must be positive", field="stochastic.dt")
+    n_steps = int(round(kappa / dt))
+    paths = np.empty((n_paths, n_steps + 1))
+
+    def store(idx, X, u, n, s):
+        paths[idx, n] = X
+
+    _euler_maruyama(drift, start_x, epsilon, dt, n_steps, seed, start_t, n_paths, store)
     times = start_t + dt * np.arange(n_steps + 1)
     return SdeEnsemble(epsilon=epsilon, drift_kind=drift.kind, n_paths=n_paths,
                        dt=dt, seed=seed, kappa=kappa, paths=paths, times=times)
@@ -166,40 +198,16 @@ def exit_times(model, drift: DriftField, center, epsilon: float, delta: float,
             f"dt={dt} too coarse for the exit scale (need <= delta^2/(8 eps) = "
             f"{delta * delta / (8 * epsilon):.3e})", field="stochastic.dt")
     n_steps = int(round(kappa / dt))
-    sigma = math.sqrt(2.0 * epsilon * dt)
     taus = np.full(n_paths, kappa)
-    for lo in range(0, n_paths, BLOCK_PATHS):
-        hi = min(lo + BLOCK_PATHS, n_paths)
-        gens = _path_generators(seed, lo, hi)
-        nb = hi - lo
-        # compacted alive set; dead paths stop consuming their noise stream,
-        # which leaves every surviving path's stream position untouched
-        alive_idx = np.arange(nb)
-        X = np.full(nb, float(center.position(0.0)))
-        block_tau = np.full(nb, kappa)
-        step = 0
-        while step < n_steps and alive_idx.size:
-            chunk = min(CHUNK_STEPS, n_steps - step)
-            noise = np.stack([gens[i].standard_normal(chunk) for i in alive_idx])
-            exited = np.zeros(alive_idx.size, dtype=bool)
-            for m in range(chunk):
-                s = (step + m) * dt
-                live = ~exited
-                Xl = X[live]
-                Xl = Xl + drift(Xl, s) * dt + sigma * noise[live, m]
-                X[live] = Xl
-                g_pos = float(center.position(s + dt))
-                dist = np.abs((Xl - g_pos + 0.5) % 1.0 - 0.5)
-                out = dist >= delta
-                if np.any(out):
-                    local = np.where(live)[0][out]
-                    block_tau[alive_idx[local]] = (step + m + 1) * dt
-                    exited[local] = True
-            keep = ~exited
-            alive_idx = alive_idx[keep]
-            X = X[keep]
-            step += chunk
-        taus[lo:hi] = block_tau
+
+    def first_exit(idx, X, u, n, s):
+        g_pos = float(center.position(s))
+        out = np.abs((X - g_pos + 0.5) % 1.0 - 0.5) >= delta
+        taus[idx[out]] = n * dt
+        return out
+
+    _euler_maruyama(drift, center.position(0.0), epsilon, dt, n_steps, seed, 0.0,
+                    n_paths, first_exit)
     capped = float(np.mean(taus >= kappa))
     return SdeEnsemble(epsilon=epsilon, drift_kind=drift.kind, n_paths=n_paths,
                        dt=dt, seed=seed, kappa=kappa, delta=delta,
@@ -317,61 +325,30 @@ def lax_residual(model, sol: ViscousSolution, drift: DriftField, kappa: float,
     With the optimal drift and the deterministic horizon kappa,
     phi(x, t) = E[ phi(X_kappa, kappa) - int L(X, U(X,s), s) ds ] - c(eps) kappa
     holds up to discretization and sampling error; each probe reports the
-    two sides and the standard error of the estimator.
+    two sides and the standard error of the estimator.  The running cost is
+    the trapezoid rule over the Euler-Maruyama steps.
     """
-    grid = sol.grid
     if probes is None:
         probes = [(x, 0.0) for x in (0.1, 0.3, 0.5, 0.7, 0.9)]
     out = []
     n_steps = int(round(kappa / dt))
-    sigma = math.sqrt(2.0 * sol.epsilon * dt)
     for k_probe, (x0, t0) in enumerate(probes):
+        cost = np.zeros(n_paths)
+        l_prev = np.empty(n_paths)
         acc = np.empty(n_paths)
-        for lo in range(0, n_paths, BLOCK_PATHS):
-            hi = min(lo + BLOCK_PATHS, n_paths)
-            gens = _path_generators(seed + 7919 * k_probe, lo, hi)
-            nb = hi - lo
-            X = np.full(nb, float(x0))
-            cost = np.zeros(nb)
-            u_now = drift(X, t0)
-            l_now, _ = model.lagrangian(X, u_now, t0)
-            step = 0
-            while step < n_steps:
-                chunk = min(CHUNK_STEPS, n_steps - step)
-                noise = np.stack([g.standard_normal(chunk) for g in gens])
-                for m in range(chunk):
-                    s = t0 + (step + m) * dt
-                    X = X + u_now * dt + sigma * noise[:, m]
-                    u_next = drift(X, s + dt)
-                    l_next, _ = model.lagrangian(X, u_next, s + dt)
-                    cost += 0.5 * (l_now + l_next) * dt
-                    u_now, l_now = u_next, l_next
-                step += chunk
-            terminal = _interp_phi(sol, X, (t0 + kappa) % 1.0)
-            acc[lo:hi] = terminal - cost
+
+        def running_cost(idx, X, u, n, s):
+            l_now, _ = model.lagrangian(X, u, s)
+            if n:
+                cost[idx] += 0.5 * (l_prev[idx] + l_now) * dt
+            l_prev[idx] = l_now
+            if n == n_steps:
+                acc[idx] = _bilinear(sol.phi, X, t0 + kappa) - cost[idx]
+
+        _euler_maruyama(drift, x0, sol.epsilon, dt, n_steps, seed + 7919 * k_probe,
+                        t0, n_paths, running_cost)
         rhs = float(np.mean(acc)) - sol.c_eps * kappa
         se = float(np.std(acc, ddof=1)) / math.sqrt(n_paths)
-        lhs = float(_interp_phi(sol, np.array([x0]), t0 % 1.0)[0])
+        lhs = float(_bilinear(sol.phi, np.array([x0]), t0)[0])
         out.append(LaxProbe(x=x0, t=t0, lhs=lhs, rhs=rhs, se=se))
     return out
-
-
-def _interp_phi(sol: ViscousSolution, x, t: float):
-    """Bilinear interpolation of the profile at positions x, scalar time t."""
-    grid = sol.grid
-    nx, nt = grid.nx, grid.nt
-    xv = np.asarray(x, dtype=float) % 1.0
-    pos = xv * nx
-    i0 = np.floor(pos).astype(int) % nx
-    wx = pos - np.floor(pos)
-    tpos = (t % 1.0) * nt
-    j0 = int(math.floor(tpos)) % nt
-    wt = tpos - math.floor(tpos)
-    j1 = (j0 + 1) % nt
-    # crossing the period boundary re-enters the profile with zero offset:
-    # phi is 1-periodic in time by construction
-    v00 = sol.phi[i0, j0]
-    v10 = sol.phi[(i0 + 1) % nx, j0]
-    v01 = sol.phi[i0, j1]
-    v11 = sol.phi[(i0 + 1) % nx, j1]
-    return (1 - wt) * ((1 - wx) * v00 + wx * v10) + wt * ((1 - wx) * v01 + wx * v11)

@@ -73,13 +73,11 @@ class ActionKernelSet:
         return (np.arange(nx)[None, :] + self.offsets[:, None]) % nx
 
 
-def build_kernels(model, grid: GridSpec, vmax: float = 4.0,
-                  space_quote: str = "midpoint") -> ActionKernelSet:
-    """Cost tables K_j(a -> b) = L(x_quote, v, t_mid)/nt for |v| <= vmax.
+def build_kernels(model, grid: GridSpec, vmax: float = 4.0) -> ActionKernelSet:
+    """Cost tables K_j(a -> b) = L(x_mid, v, t_mid)/nt for |v| <= vmax.
 
-    ``space_quote`` selects where the potential is sampled along the segment:
-    ``"midpoint"`` (default, second-order without a telescoping boundary bias)
-    or ``"start"`` (first-order endpoint rule).
+    The potential is sampled at the segment midpoint (second order, without a
+    telescoping boundary bias).
     """
     nx, nt = grid.nx, grid.nt
     dmax = int(math.floor(vmax * nx / nt))
@@ -89,19 +87,13 @@ def build_kernels(model, grid: GridSpec, vmax: float = 4.0,
             f"on a {nx}x{nt} grid (need vmax/nt >= 2/nx)", field="numerics.vmax")
     if dmax > nx // 2:
         dmax = nx // 2
-    if space_quote not in ("midpoint", "start"):
-        raise ConfigError(f"unknown space_quote {space_quote!r}")
     offsets = np.arange(-dmax, dmax + 1)
     velocities = offsets * (nt / nx)
-    xa = grid.nodes()
+    xq = grid.nodes()[None, :] + offsets[:, None] / (2.0 * nx)
     costs = []
     time_independent = getattr(model, "family", None) in ("mechanical", "shifted_kinetic")
     for j in range(nt if not time_independent else 1):
         t_mid = (j + 0.5) / nt
-        if space_quote == "midpoint":
-            xq = xa[None, :] + offsets[:, None] / (2.0 * nx)
-        else:
-            xq = np.broadcast_to(xa, (offsets.size, nx)).copy()
         lval, _ = model.lagrangian(xq, np.broadcast_to(velocities[:, None], xq.shape), t_mid)
         costs.append(np.ascontiguousarray(lval / nt))
     if time_independent:
@@ -268,14 +260,13 @@ class BarrierField:
     osc_trace: list = field(default_factory=list)
     orbit_ref: int = -1
 
-    def value_at(self, x, j: int, which: str = "h"):
-        """Linear interpolation of the field along x at substep column j."""
-        arr = self.h if which == "h" else self.phi_pot
+    def value_at(self, x, j: int):
+        """Linear interpolation of the barrier h along x at substep column j."""
         nx = self.grid.nx
         pos = (np.asarray(x, dtype=float) % 1.0) * nx
         i0 = np.floor(pos).astype(int) % nx
         w = pos - np.floor(pos)
-        return (1.0 - w) * arr[i0, j] + w * arr[(i0 + 1) % nx, j]
+        return (1.0 - w) * self.h[i0, j] + w * self.h[(i0 + 1) % nx, j]
 
 
 def anchored_barrier(kernels: ActionKernelSet, c: float, anchor_x: float,
@@ -413,12 +404,3 @@ def aubry_verify(fields: list[BarrierField], orbits, aubry_tol: float = 0.02):
                                  tol=aubry_tol))
     return out
 
-
-def min_cycle_residual(kernels: ActionKernelSet, c: float) -> float:
-    """Minimum mean cycle of the kernels with c/nt added per arc (should be ~0)."""
-    shifted = ActionKernelSet(
-        grid=kernels.grid, vmax=kernels.vmax, offsets=kernels.offsets,
-        costs=[cost + c / kernels.grid.nt for cost in kernels.costs],
-        time_independent=kernels.time_independent)
-    W = compose_period(shifted)
-    return _karp_min_mean(W)

@@ -70,6 +70,26 @@ def step_operator(model, chi, tau, ds, grid: GridSpec, eps, lip_cap=4.0):
                  grid.nodes(), b, lip_cap + abs(b))
 
 
+def _march_period(model, chi: np.ndarray, S: float, grid: GridSpec, m_sub: int,
+                  ds: float, eps: float, lip_cap: float,
+                  snaps: np.ndarray | None = None) -> np.ndarray:
+    """March chi through the reversed period [S, S + 1] in nt * m_sub steps.
+
+    ``snaps[:, j]``, when given, receives chi at s = S + j/nt.
+    """
+    nt = grid.nt
+    xs = grid.nodes()
+    b = model.momentum_offset
+    alpha_max = lip_cap + abs(b)
+    for j in range(nt):
+        if snaps is not None:
+            snaps[:, j] = chi
+        for mstep in range(m_sub):
+            s = S + j / nt + mstep * ds
+            chi = _step(model, chi, -s, ds, grid.dx, eps, xs, b, alpha_max)
+    return chi
+
+
 def cfl_timestep(grid: GridSpec, eps: float, alpha_max: float,
                  safety: float = 0.45) -> float:
     dx = grid.dx
@@ -89,16 +109,13 @@ def solve_cell(model, epsilon: float, grid: GridSpec, cell_tol: float = 1e-6,
         raise ConfigError("epsilon must be positive", field="sweep.eps_list")
     nx, nt = grid.nx, grid.nt
     dx = grid.dx
-    b = model.momentum_offset
-    alpha_max = lip_cap + abs(b)
-    ds_cfl = cfl_timestep(grid, epsilon, alpha_max, safety)
+    ds_cfl = cfl_timestep(grid, epsilon, lip_cap + abs(model.momentum_offset), safety)
     m_sub = max(1, int(math.ceil((1.0 / nt) / ds_cfl)))
     if m_sub * nt > MAX_SUBSTEPS:
         raise ConfigError(
             f"CFL-infeasible grid: {m_sub * nt} steps per period exceed the cap "
             f"(eps={epsilon}, nx={nx})", field="grid")
     ds = 1.0 / (nt * m_sub)
-    xs = grid.nodes()
 
     chi = np.full(nx, float(initial_offset))
     prev_snaps = None
@@ -108,11 +125,8 @@ def solve_cell(model, epsilon: float, grid: GridSpec, cell_tol: float = 1e-6,
     converged = False
     period = 0
     for period in range(max_periods):
-        for j in range(nt):
-            snaps[:, j] = chi
-            for mstep in range(m_sub):
-                s = period + j / nt + mstep * ds
-                chi = _step(model, chi, -s, ds, dx, epsilon, xs, b, alpha_max)
+        chi = _march_period(model, chi, period, grid, m_sub, ds, epsilon, lip_cap,
+                            snaps=snaps)
         if prev_snaps is not None:
             diff = snaps - prev_snaps
             c_est = float(np.mean(diff))
@@ -130,6 +144,7 @@ def solve_cell(model, epsilon: float, grid: GridSpec, cell_tol: float = 1e-6,
             trace=residual_history)
 
     # hard ergodic-constant bracket: inf_x,t H(x,0,t) <= c(eps) <= sup H(x,0,t)
+    xs = grid.nodes()
     tprobe = np.arange(4 * nt) / (4 * nt)
     h0 = np.array([model.hamiltonian(xs, np.zeros_like(xs), t) for t in tprobe])
     c_tol = 1e-6
@@ -169,36 +184,18 @@ def semiconvexity_constant(phi: np.ndarray, dx: float) -> float:
     return float(max(0.0, -np.min(second)))
 
 
-def regularity_report(sol: ViscousSolution) -> tuple[float, float]:
-    """(lip_x, semiconvexity_const) of the converged profile."""
-    return (lipschitz_constant(sol.phi, sol.grid.dx),
-            semiconvexity_constant(sol.phi, sol.grid.dx))
-
-
 def residual_check(model, sol: ViscousSolution) -> float:
-    """Advance the converged state one more period; sup deviation from c(eps)-drift.
+    """Re-march the final period, then one more; sup deviation from c(eps)-drift.
 
     A perfectly periodic converged profile reproduces itself shifted by
     exactly c(eps) per period; the reported residual is the sup-norm defect
-    against the stored substep snapshots.
+    of the extra period against the stored substep snapshots.
     """
-    grid = sol.grid
-    nt = grid.nt
-    xs = grid.nodes()
-    b = model.momentum_offset
-    alpha_max = sol.lip_cap + abs(b)
-    chi = sol.reversed_snaps[:, 0].copy()
     S = float(sol.final_period_index)
-    worst = 0.0
-    for period in range(2):
-        for j in range(nt):
-            if period == 1:
-                expected = sol.reversed_snaps[:, j] + sol.c_eps
-                worst = max(worst, float(np.max(np.abs(chi - expected))))
-            for mstep in range(sol.m_sub):
-                s = S + period + j / nt + mstep * sol.ds
-                chi = _step(model, chi, -s, sol.ds, grid.dx, sol.epsilon, xs,
-                            b, alpha_max)
-    expected = sol.reversed_snaps[:, 0] + 2.0 * sol.c_eps
-    worst = max(worst, float(np.max(np.abs(chi - expected))))
-    return worst
+    snaps = sol.reversed_snaps
+    march = (sol.grid, sol.m_sub, sol.ds, sol.epsilon, sol.lip_cap)
+    chi = _march_period(model, snaps[:, 0], S, *march)
+    second = np.empty_like(snaps)
+    chi = _march_period(model, chi, S + 1, *march, snaps=second)
+    worst = float(np.max(np.abs(second - (snaps + sol.c_eps))))
+    return max(worst, float(np.max(np.abs(chi - (snaps[:, 0] + 2.0 * sol.c_eps)))))

@@ -16,7 +16,8 @@ import math
 import numpy as np
 
 from .errors import CompatibilityError, WeakKamError
-from .dynamics import PeriodicOrbit, aubry_orbits, find_periodic_orbit, PhasePoint
+from .dynamics import (PeriodicOrbit, aubry_orbits, find_periodic_orbit, orbit_window,
+                       PhasePoint)
 from .model import MECHANICAL, TRAVELING_WAVE, HamiltonianModel, PotentialSpec
 from .orbit_hessian import (HessianCurve, LambdaReport, fd_crosscheck,
                             lambda_averages, unstable_hessian_curve)
@@ -72,14 +73,6 @@ class RescaledModel:
         lval, lv = self.base.lagrangian(x, np.asarray(v, dtype=float) / N,
                                         N * np.asarray(t, dtype=float))
         return lval, lv / N
-
-
-def orbit_window(orbits: list[PeriodicOrbit]) -> int:
-    """Least common multiple of the orbit periods."""
-    window = 1
-    for orbit in orbits:
-        window = window * orbit.period // math.gcd(window, orbit.period)
-    return window
 
 
 def predicted_limit(anchor_values, fields: list[BarrierField], argmin: list[int],

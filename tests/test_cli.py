@@ -133,6 +133,15 @@ def test_example_requires_traveling_wave(tmp_path):
     assert run_config(str(path), "example") == 1
 
 
+def test_out_flag_wins_over_config_directory(tmp_path):
+    path = write_config(tmp_path)   # the config names tmp_path / "out"
+    explicit = tmp_path / "explicit"
+    assert main(["--config", str(path), "--command", "critical",
+                 "--out", str(explicit)]) == 0
+    assert len(list(explicit.glob("critical_*.json"))) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_entrypoint(tmp_path):
     path = write_config(tmp_path)
     assert main(["--config", str(path), "--command", "critical"]) == 0

@@ -121,6 +121,18 @@ def test_potential_maxima(bench_model, tw_model):
     assert potential_maxima(tw_model) == pytest.approx([0.0], abs=1e-10)
 
 
+@pytest.mark.parametrize("shift", [3 / 32, 37 / 256])
+def test_potential_maxima_on_scan_points(bench_potential, shift):
+    # V_s(x) = V(x + shift) has its maxima at 1/2 - shift and 1 - shift, both
+    # exactly on points of the 4096-point scan.  At 3/32 the maximum at 13/32
+    # used to be dropped; at 37/256 brentq used to refuse the bracket.
+    w = TWO_PI * np.array([k for k, _, _ in bench_potential.terms]) * shift
+    terms = [(k, c * math.cos(a) + s * math.sin(a), s * math.cos(a) - c * math.sin(a))
+             for (k, c, s), a in zip(bench_potential.terms, w)]
+    m = HamiltonianModel(family="mechanical", potential=PotentialSpec.from_terms(terms))
+    assert potential_maxima(m) == pytest.approx([0.5 - shift, 1.0 - shift], abs=1e-10)
+
+
 def test_aubry_orbits_benchmark(bench_orbits):
     anchors = sorted(o.anchor.x for o in bench_orbits)
     assert anchors == pytest.approx([0.0, 0.5], abs=1e-9)

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erf
 
+from weakkam import stochastic
 from weakkam.errors import ConfigError
 from weakkam.model import HamiltonianModel
 from weakkam.stochastic import (DriftField, StaticCenter, exit_time_scaling,
@@ -61,6 +62,32 @@ def test_bit_reproducibility_and_resize_stability():
                    700, 3e-5, 42, 4.0)
     assert np.array_equal(a.tau_samples, b.tau_samples)
     assert np.array_equal(a.tau_samples, c.tau_samples[:400])
+
+
+def test_streams_stable_under_block_and_chunk_resizing(bench_model, monkeypatch):
+    # every path owns its noise stream, so the block and chunk sizes, and the
+    # paths stopped around it, cannot change what a path samples
+    sol = solve_cell(bench_model, 0.05, GridSpec(64, 8))
+    drift = _linear_drift(-2 * np.pi)
+
+    def run():
+        ens = exit_times(FREE, drift, StaticCenter(0.5), 0.04, 0.1, 20, 1e-3, 4, 2.0)
+        paths = simulate_paths(FREE, drift, 0.04, 20, 1e-3, 4, 0.103, start_x=0.3,
+                               start_t=0.2).paths
+        probes = lax_residual(bench_model, sol, DriftField.from_viscous(bench_model, sol),
+                              kappa=0.103, n_paths=20, dt=1e-3, seed=4,
+                              probes=[(0.25, 0.0), (0.6, 0.3)])
+        return ens.tau_samples, paths, [(p.lhs, p.rhs, p.se) for p in probes]
+
+    taus, paths, probes = run()
+    monkeypatch.setattr(stochastic, "BLOCK_PATHS", 7)
+    monkeypatch.setattr(stochastic, "CHUNK_STEPS", 5)
+    taus_small, paths_small, probes_small = run()
+    steps = np.round(taus / 1e-3).astype(int)
+    assert np.any((steps % 5 != 0) & (taus < 2.0))   # exits inside a chunk
+    assert np.array_equal(taus, taus_small)
+    assert np.array_equal(paths, paths_small)
+    assert probes == probes_small
 
 
 def test_flat_case_exit_oracle():

@@ -6,8 +6,8 @@ import pytest
 from weakkam.errors import ConfigError
 from weakkam.model import HamiltonianModel, benchmark_potential
 from weakkam.variational import GridSpec
-from weakkam.viscous import (lipschitz_constant, regularity_report, residual_check,
-                             semiconvexity_constant, solve_cell, step_operator)
+from weakkam.viscous import (lipschitz_constant, residual_check, semiconvexity_constant,
+                             solve_cell, step_operator)
 
 RNG = np.random.default_rng(99)
 
@@ -65,8 +65,7 @@ def test_monotone_update_spot_check(bench_model):
 def test_regularity_report_trivial_and_injected():
     m = HamiltonianModel(family="mechanical")
     sol = solve_cell(m, 0.01, GridSpec(128, 8))
-    lip, semi = regularity_report(sol)
-    assert lip == 0.0 and semi == 0.0
+    assert sol.lip_x == 0.0 and sol.semiconvexity_const == 0.0
 
     nx = 400
     xs = np.arange(nx) / nx
