@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, WeakKamError
+from .errors import ConfigError, WeakKamError, config_number
 from .model import model_from_config, verify_hypotheses
 from .dynamics import aubry_orbits, orbit_window
 from .orbit_hessian import fd_crosscheck, lambda_averages, unstable_hessian_curve
@@ -51,38 +51,58 @@ def _require(cond, message, field):
         raise ConfigError(message, field=field)
 
 
+def _number_field(block, key, prefix, integer=False, least=None):
+    """Check block[key] is a number above 0, or at least ``least`` when given."""
+    field = f"{prefix}.{key}"
+    value = config_number(block[key], field, integer=integer)
+    if least is None:
+        _require(value > 0, f"{field} must be positive", field)
+    else:
+        _require(value >= least, f"{field} must be at least {least}", field)
+
+
+def _eps_list(values, field):
+    _require(isinstance(values, list), f"{field} must be a list", field)
+    _require(all(config_number(e, field) > 0 for e in values),
+             f"{field} entries must be positive", field)
+    _require(all(b < a for a, b in zip(values, values[1:])),
+             f"{field} must be strictly decreasing", field)
+
+
 def validate_config(cfg: dict) -> dict:
     """Schema checks; raises ConfigError naming the offending field path."""
     _require(isinstance(cfg, dict), "config must be a JSON object", "")
     _require("model" in cfg, "missing model block", "model")
     _require("grid" in cfg, "missing grid block", "grid")
+    model_from_config(cfg["model"])
     grid = cfg["grid"]
     _require(isinstance(grid, dict) and "nx" in grid and "nt" in grid,
              "grid block must carry nx and nt", "grid")
-    _require(int(grid["nx"]) >= 2 and int(grid["nt"]) >= 1,
-             "grid sizes must be positive", "grid.nx")
+    _number_field(grid, "nx", "grid", integer=True, least=2)
+    _number_field(grid, "nt", "grid", integer=True)
+    _require(isinstance(cfg.get("numerics", {}), dict), "numerics must be an object",
+             "numerics")
     numerics = {**DEFAULT_NUMERICS, **cfg.get("numerics", {})}
     for key in ("vmax", "cell_tol", "barrier_tol", "shoot_tol", "slope_tol",
                 "grid_tol", "aubry_tol", "lip_cap"):
-        _require(float(numerics[key]) > 0, f"numerics.{key} must be positive",
-                 f"numerics.{key}")
+        _number_field(numerics, key, "numerics")
+    for key in ("max_sweeps", "max_periods"):
+        _number_field(numerics, key, "numerics", integer=True)
     sweep_block = cfg.get("sweep", {})
+    _require(isinstance(sweep_block, dict), "sweep must be an object", "sweep")
     eps_list = sweep_block.get("eps_list", [])
-    if eps_list:
-        _require(all(float(e) > 0 for e in eps_list),
-                 "sweep.eps_list entries must be positive", "sweep.eps_list")
-        _require(all(b < a for a, b in zip(eps_list, eps_list[1:])),
-                 "sweep.eps_list must be strictly decreasing", "sweep.eps_list")
+    _eps_list(eps_list, "sweep.eps_list")
     stoch = cfg.get("stochastic", {})
+    _require(isinstance(stoch, dict), "stochastic must be an object", "stochastic")
     if stoch:
         for key in ("n_paths", "dt", "delta", "kappa"):
             _require(key in stoch, f"stochastic.{key} missing", f"stochastic.{key}")
-        _require(float(stoch["dt"]) > 0, "stochastic.dt must be positive",
-                 "stochastic.dt")
-        s_eps = stoch.get("eps_list", eps_list)
-        _require(all(b < a for a, b in zip(s_eps, s_eps[1:])),
-                 "stochastic.eps_list must be strictly decreasing",
-                 "stochastic.eps_list")
+        _number_field(stoch, "n_paths", "stochastic", integer=True)
+        for key in ("dt", "delta", "kappa"):
+            _number_field(stoch, key, "stochastic")
+        if "seed" in stoch:
+            _number_field(stoch, "seed", "stochastic", integer=True, least=0)
+        _eps_list(stoch.get("eps_list", eps_list), "stochastic.eps_list")
     cfg = dict(cfg)
     cfg["numerics"] = numerics
     return cfg
@@ -434,6 +454,9 @@ def run_config(path: str, command: str, out_dir: str | None = None,
     """
     try:
         cfg = load_config(path)
+        if seed_override is not None:
+            _number_field({"seed": seed_override}, "seed", "stochastic", integer=True,
+                          least=0)
     except ConfigError as exc:
         print(f"config error at '{exc.field}': {exc}", file=sys.stderr)
         return 1

@@ -8,6 +8,12 @@ scheme, optionally together with the variational (tangent) dynamics
 from the identity matrix.  Orbits of integer period are found by Newton
 iteration on the return-map residual; hyperbolicity is read off the
 monodromy's eigenvalues.
+
+The flow is integrated one scalar point at a time, so a step works in floats
+throughout: the model's scalar jet, and the 2x2 tangent algebra (stage
+slopes, one-step propagator, accumulated fundamental matrix) as row-major
+4-tuples rather than numpy arrays, whose per-call overhead would dwarf the
+arithmetic.
 """
 
 from __future__ import annotations
@@ -86,8 +92,21 @@ def _rhs(model: HamiltonianModel, x: float, p: float, t: float):
 
 def _rhs_jac(model: HamiltonianModel, x: float, p: float, t: float):
     jet = model.jet(x, p, t)
-    J = np.array([[jet.H_xp, jet.H_pp], [-jet.H_xx, -jet.H_xp]])
-    return jet.H_p, -jet.H_x, J
+    return jet.H_p, -jet.H_x, (jet.H_xp, jet.H_pp, -jet.H_xx, -jet.H_xp)
+
+
+def _matmul(a, b):
+    """Product of 2x2 matrices held as row-major 4-tuples."""
+    a00, a01, a10, a11 = a
+    b00, b01, b10, b11 = b
+    return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
+            a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
+
+
+def _stage(J, A, c):
+    """J (I + c A), the tangent slope of one RK4 stage."""
+    a00, a01, a10, a11 = A
+    return _matmul(J, (1.0 + c * a00, c * a01, c * a10, 1.0 + c * a11))
 
 
 def integrate(model: HamiltonianModel, start: PhasePoint, duration: float,
@@ -103,19 +122,12 @@ def integrate(model: HamiltonianModel, start: PhasePoint, duration: float,
         steps = max(1, int(math.ceil(abs(duration) / max_step)))
     h = duration / steps
     times = start.t + h * np.arange(steps + 1)
-    xs = np.empty(steps + 1)
-    ps = np.empty(steps + 1)
-    xs[0], ps[0] = start.x, start.p
-    fund = None
-    det_product = 1.0
-    if with_variational:
-        fund = np.empty((steps + 1, 2, 2))
-        fund[0] = np.eye(2)
     x, p = float(start.x), float(start.p)
-    M = np.eye(2)
-    eye = np.eye(2)
-    for n in range(steps):
-        t = times[n]
+    xs, ps = [x], [p]
+    M = (1.0, 0.0, 0.0, 1.0)
+    mats = [M]
+    det_product = 1.0
+    for n, t in enumerate(times[:-1].tolist()):
         if with_variational:
             # the tangent flow is linear in M: build the one-step propagator S
             # from identity (well conditioned) and accumulate M = S M
@@ -124,12 +136,14 @@ def integrate(model: HamiltonianModel, start: PhasePoint, duration: float,
             k3x, k3p, J3 = _rhs_jac(model, x + 0.5 * h * k2x, p + 0.5 * h * k2p, t + 0.5 * h)
             k4x, k4p, J4 = _rhs_jac(model, x + h * k3x, p + h * k3p, t + h)
             A1 = J1
-            A2 = J2 @ (eye + 0.5 * h * A1)
-            A3 = J3 @ (eye + 0.5 * h * A2)
-            A4 = J4 @ (eye + h * A3)
-            S = eye + (h / 6.0) * (A1 + 2.0 * A2 + 2.0 * A3 + A4)
-            det_product *= S[0, 0] * S[1, 1] - S[0, 1] * S[1, 0]
-            M = S @ M
+            A2 = _stage(J2, A1, 0.5 * h)
+            A3 = _stage(J3, A2, 0.5 * h)
+            A4 = _stage(J4, A3, h)
+            S = tuple(e + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+                      for e, a1, a2, a3, a4 in zip((1.0, 0.0, 0.0, 1.0), A1, A2, A3, A4))
+            det_product *= S[0] * S[3] - S[1] * S[2]
+            M = _matmul(S, M)
+            mats.append(M)
         else:
             k1x, k1p = _rhs(model, x, p, t)
             k2x, k2p = _rhs(model, x + 0.5 * h * k1x, p + 0.5 * h * k1p, t + 0.5 * h)
@@ -140,10 +154,11 @@ def integrate(model: HamiltonianModel, start: PhasePoint, duration: float,
         if not (math.isfinite(x) and math.isfinite(p)):
             raise IntegrationError(f"state blew up at t={times[n + 1]:.6g}",
                                    last_valid_time=float(times[n]))
-        xs[n + 1], ps[n + 1] = x, p
-        if with_variational:
-            fund[n + 1] = M
-    return Trajectory(times=times, x=xs, p=ps, fundamental=fund, det_product=det_product)
+        xs.append(x)
+        ps.append(p)
+    fund = np.array(mats).reshape(-1, 2, 2) if with_variational else None
+    return Trajectory(times=times, x=np.array(xs), p=np.array(ps), fundamental=fund,
+                      det_product=det_product)
 
 
 def find_periodic_orbit(model: HamiltonianModel, seed: PhasePoint, period: int,

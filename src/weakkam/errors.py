@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the toolkit."""
 
+import math
+
 
 class WeakKamError(Exception):
     """Base class for all toolkit errors."""
@@ -11,6 +13,22 @@ class ConfigError(WeakKamError):
     def __init__(self, message, field=None):
         super().__init__(message)
         self.field = field
+
+
+def config_number(value, field, integer=False):
+    """A config entry that must be a finite JSON number (integral if ``integer``).
+
+    Returns it as a float, or an int when ``integer``; anything else (a string,
+    None, a list, a boolean, nan or inf) is a ConfigError naming ``field``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise ConfigError(f"{field} must be a finite number, got {value!r}", field=field)
+    if integer:
+        if value != int(value):
+            raise ConfigError(f"{field} must be an integer, got {value!r}", field=field)
+        return int(value)
+    return float(value)
 
 
 class IntegrationError(WeakKamError):

@@ -8,18 +8,24 @@ Legendre transform is closed-form and kernels stay exact:
 * ``traveling_wave``   H(x,p,t) = p^2/2 - p/k + V(x + t/k),  V required 1/k-periodic
 
 Potentials are finite trigonometric series, so every spatial derivative is
-exact and 1-periodicity holds to rounding error.  All evaluators broadcast
-over numpy arrays.
+exact and 1-periodicity holds to rounding error.  The series is held once, as
+the coefficients (A_n, B_n) of V^(n)(x) = sum A_n cos(w x) + B_n sin(w x);
+every derivative is a rotation of (c, s) scaled by w^n.  Arrays are summed
+against these coefficients by numpy, and a scalar (x, p, t) takes the same
+coefficients through plain float arithmetic with one math.cos/math.sin pair
+per term, which is what the RK4 flow calls hundreds of thousands of times.
+All evaluators broadcast over numpy arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 import math
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, config_number
 
 MECHANICAL = "mechanical"
 SHIFTED_KINETIC = "shifted_kinetic"
@@ -28,6 +34,11 @@ TRAVELING_WAVE = "traveling_wave"
 FAMILIES = (MECHANICAL, SHIFTED_KINETIC, TRAVELING_WAVE)
 
 TWO_PI = 2.0 * math.pi
+
+
+def _is_scalar(v) -> bool:
+    # the float test first: np.ndim alone costs a microsecond per call
+    return isinstance(v, float) or np.ndim(v) == 0
 
 
 @dataclass(frozen=True)
@@ -54,25 +65,59 @@ class PotentialSpec:
     def zero(cls) -> "PotentialSpec":
         return cls(())
 
-    def _arrays(self):
+    @cached_property
+    def _modes(self):
+        """Angular frequencies w = 2 pi k and the cos/sin coefficients, as arrays."""
         if not self.terms:
             return np.zeros(1), np.zeros(1), np.zeros(1)
-        k = np.array([t[0] for t in self.terms], dtype=float)
-        c = np.array([t[1] for t in self.terms], dtype=float)
-        s = np.array([t[2] for t in self.terms], dtype=float)
-        return k, c, s
+        k, c, s = (np.array(col, dtype=float) for col in zip(*self.terms))
+        return TWO_PI * k, c, s
+
+    def _coefficients(self, order: int = 0):
+        """(A, B) with V^(order)(x) = sum A cos(w x) + B sin(w x).
+
+        Differentiation maps (A, B) to w (B, -A), so the pair cycles through
+        (c, s), (s, -c), (-c, -s), (-s, c), scaled by w^order.
+        """
+        w, c, s = self._modes
+        a, b = ((c, s), (s, -c), (-c, -s), (-s, c))[order % 4]
+        wn = w ** order
+        return a * wn, b * wn
+
+    @cached_property
+    def _scalar_rows(self):
+        """Per term: w and the (A, B) pairs of V, V', V'' as Python floats."""
+        cols = [self._modes[0]] + [v for n in range(3) for v in self._coefficients(n)]
+        return tuple(zip(*(col.tolist() for col in cols)))
+
+    def _basis(self, x):
+        ang = np.multiply.outer(np.asarray(x, dtype=float), self._modes[0])
+        return np.cos(ang), np.sin(ang)
 
     def derivative(self, x, order: int = 0):
         """Exact order-th derivative of V at x (broadcasts over arrays)."""
-        x = np.asarray(x, dtype=float)
-        k, c, s = self._arrays()
-        w = TWO_PI * k
-        ang = np.multiply.outer(x, w)
-        # d^n cos = w^n cos(ang + n pi/2), same phase shift for sin
-        phase = order * math.pi / 2.0
-        wn = w ** order
-        val = np.cos(ang + phase) @ (c * wn) + np.sin(ang + phase) @ (s * wn)
+        cw, sw = self._basis(x)
+        a, b = self._coefficients(order)
+        val = cw @ a + sw @ b
         return val if val.shape else float(val)
+
+    def jet(self, y):
+        """(V, V', V'') at y from one cos/sin pair per term.
+
+        A scalar y gives floats, summed term by term in float arithmetic; an
+        array y gives arrays.
+        """
+        if _is_scalar(y):
+            y = float(y)
+            v0 = v1 = v2 = 0.0
+            for w, a0, b0, a1, b1, a2, b2 in self._scalar_rows:
+                cw, sw = math.cos(w * y), math.sin(w * y)
+                v0 += a0 * cw + b0 * sw
+                v1 += a1 * cw + b1 * sw
+                v2 += a2 * cw + b2 * sw
+            return v0, v1, v2
+        cw, sw = self._basis(y)
+        return tuple(cw @ a + sw @ b for a, b in map(self._coefficients, range(3)))
 
     def value(self, x):
         return self.derivative(x, 0)
@@ -149,39 +194,47 @@ class HamiltonianModel:
         return 0.0
 
     def _space_arg(self, x, t):
+        """Argument of V: x + t/k for the traveling wave, x otherwise.
+
+        Floats stay floats; callers pass arrays when they want arrays.
+        """
         if self.family == TRAVELING_WAVE:
-            return np.asarray(x, dtype=float) + np.asarray(t, dtype=float) / self.wind
-        return np.asarray(x, dtype=float)
+            return x + t / self.wind
+        return x
+
+    def _space_array(self, x, t):
+        return self._space_arg(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
 
     def potential_value(self, x, t=0.0):
-        return self.potential.value(self._space_arg(x, t))
+        return self.potential.value(self._space_array(x, t))
 
     def hamiltonian(self, x, p, t=0.0):
         p = np.asarray(p, dtype=float)
         q = p + self.momentum_offset
-        return 0.5 * q * q + self.energy_offset + self.potential.value(self._space_arg(x, t))
+        return 0.5 * q * q + self.energy_offset + self.potential.value(self._space_array(x, t))
 
     def jet(self, x, p, t=0.0) -> Jet:
-        """Full first/second derivative jet of H at (x, p, t)."""
-        scalar = np.ndim(x) == 0 and np.ndim(p) == 0 and np.ndim(t) == 0
-        y, p = np.broadcast_arrays(self._space_arg(x, t), np.asarray(p, dtype=float))
+        """Full first/second derivative jet of H at (x, p, t).
+
+        Scalar arguments (numpy scalars included) give float entries computed
+        without numpy; arrays broadcast.
+        """
+        if _is_scalar(x) and _is_scalar(p) and _is_scalar(t):
+            y, p = self._space_arg(float(x), float(t)), float(p)
+            one, zero, h_t = 1.0, 0.0, 0.0
+        else:
+            y, p = np.broadcast_arrays(self._space_array(x, t), np.asarray(p, dtype=float))
+            one, zero, h_t = np.ones_like(p), np.zeros_like(p), np.zeros_like(p)
+        v0, v1, v2 = self.potential.jet(y)
         q = p + self.momentum_offset
-        v0 = self.potential.value(y)
-        v1 = self.potential.d1(y)
-        v2 = self.potential.d2(y)
         h = 0.5 * q * q + self.energy_offset + v0
-        h_t = v1 / self.wind if self.family == TRAVELING_WAVE else np.zeros_like(v1 + 0.0)
-        one = np.ones_like(q)
-        zero = np.zeros_like(q)
-        out = Jet(H=h, H_p=q, H_x=v1, H_t=h_t, H_pp=one, H_xp=zero, H_xx=v2)
-        if scalar:
-            out = Jet(*(float(np.asarray(f)) for f in
-                        (out.H, out.H_p, out.H_x, out.H_t, out.H_pp, out.H_xp, out.H_xx)))
-        return out
+        if self.family == TRAVELING_WAVE:
+            h_t = v1 / self.wind
+        return Jet(H=h, H_p=q, H_x=v1, H_t=h_t, H_pp=one, H_xp=zero, H_xx=v2)
 
     def lagrangian(self, x, v, t=0.0):
         """Legendre pair (L, L_v); the maximizing momentum is p* = v - b."""
-        y = self._space_arg(x, t)
+        y = self._space_array(x, t)
         v = np.asarray(v, dtype=float)
         b = self.momentum_offset
         lval = 0.5 * v * v - b * v - self.energy_offset - self.potential.value(y)
@@ -278,13 +331,21 @@ def model_from_config(block: dict) -> HamiltonianModel:
     if terms is None:
         raise ConfigError("model.potential must be {'terms': [[k, cos, sin], ...]}",
                           field="model.potential")
-    potential = PotentialSpec.from_terms(terms)
+    field_ = "model.potential.terms"
+    if not isinstance(terms, list) or not all(isinstance(t, list) and len(t) == 3
+                                              for t in terms):
+        raise ConfigError("model.potential.terms must be a list of [k, cos, sin]",
+                          field=field_)
+    potential = PotentialSpec.from_terms(
+        (config_number(k, field_, integer=True), config_number(c, field_),
+         config_number(s, field_)) for k, c, s in terms)
     return HamiltonianModel(
         family=family,
         potential=potential,
-        momentum_shift=float(block.get("momentum_shift", 0.0)),
-        wind=int(block.get("wind", 1)),
-        growth_constant=float(block.get("growth_constant", 8.0)),
+        momentum_shift=config_number(block.get("momentum_shift", 0.0), "model.momentum_shift"),
+        wind=config_number(block.get("wind", 1), "model.wind", integer=True),
+        growth_constant=config_number(block.get("growth_constant", 8.0),
+                                      "model.growth_constant"),
     )
 
 

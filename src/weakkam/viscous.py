@@ -8,10 +8,17 @@ evolution
 
 which is marched with centered second differences for the Laplacian and a
 monotone local Lax-Friedrichs Hamiltonian whose dissipation coefficient is the
-stencil-local max of |H_p| (capped by the a-priori gradient bound).  After the
-profile locks onto the time-periodic regime, the per-period mean increment is
-c(eps) and the drift-corrected profile, mapped back to forward time, is the
-solution normalized at a configured anchor node.
+stencil-local max of |H_p| (capped by the a-priori gradient bound, which the
+converged profile is checked against).  After the profile locks onto the
+time-periodic regime, the per-period mean increment is c(eps) and the
+drift-corrected profile, mapped back to forward time, is the solution
+normalized at a configured anchor node.
+
+Every family is H = q^2/2 + e0 + W(x, t) with q = p + b, so the march
+tabulates W once per row block, at the block's m_sub step times
+s = S + j/nt + m ds in one vectorised call, and each step reads its row.  The
+times and the order of operations are those of a step that evaluates H itself
+(``step_operator``), so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -48,26 +55,33 @@ class ViscousSolution:
     lip_cap: float = 4.0
 
 
-def _step(model, chi: np.ndarray, tau: float, ds: float, dx: float,
-          eps: float, xs: np.ndarray, b: float, alpha_cap: float) -> np.ndarray:
-    """One explicit monotone update of psi_s = eps Lap(psi) + H(x, D psi, tau)."""
-    left = np.roll(chi, 1)
-    right = np.roll(chi, -1)
+def _step(chi: np.ndarray, w: np.ndarray, ds: float, dx: float, eps: float,
+          b: float, e0: float, alpha_cap: float) -> np.ndarray:
+    """One explicit monotone update of psi_s = eps Lap(psi) + H(x, D psi, tau).
+
+    ``w`` holds V's shifted copy W(x, tau) at the nodes, so H = q^2/2 + e0 + w
+    with q = D psi + b.
+    """
+    # np.roll costs several times a plain concatenate on rows this short
+    left = np.concatenate((chi[-1:], chi[:-1]))
+    right = np.concatenate((chi[1:], chi[:1]))
     pm = (chi - left) / dx
     pp = (right - chi) / dx
     lap = (left + right - 2.0 * chi) / (dx * dx)
     alpha = np.minimum(np.maximum(np.abs(pm + b), np.abs(pp + b)), alpha_cap)
     # the +H sign of the evolution flips the usual dissipation sign: with
     # alpha >= |H_p| this upwinds correctly (H = a p picks p_plus for a > 0)
-    h_num = model.hamiltonian(xs, 0.5 * (pm + pp), tau) + 0.5 * alpha * (pp - pm)
+    q = 0.5 * (pm + pp) + b
+    h_num = 0.5 * q * q + e0 + w + 0.5 * alpha * (pp - pm)
     return chi + ds * (eps * lap + h_num)
 
 
 def step_operator(model, chi, tau, ds, grid: GridSpec, eps, lip_cap=4.0):
     """Public single-step wrapper (used by monotonicity spot checks)."""
     b = model.momentum_offset
-    return _step(model, np.asarray(chi, dtype=float), tau, ds, grid.dx, eps,
-                 grid.nodes(), b, lip_cap + abs(b))
+    w = model.potential_value(grid.nodes(), tau)
+    return _step(np.asarray(chi, dtype=float), w, ds, grid.dx, eps, b,
+                 model.energy_offset, lip_cap + abs(b))
 
 
 def _march_period(model, chi: np.ndarray, S: float, grid: GridSpec, m_sub: int,
@@ -75,18 +89,23 @@ def _march_period(model, chi: np.ndarray, S: float, grid: GridSpec, m_sub: int,
                   snaps: np.ndarray | None = None) -> np.ndarray:
     """March chi through the reversed period [S, S + 1] in nt * m_sub steps.
 
-    ``snaps[:, j]``, when given, receives chi at s = S + j/nt.
+    Step m of row block j runs at tau = -s, s = S + j/nt + m ds; W at all
+    m_sub times of a block is tabulated in one call before the block is
+    stepped.  ``snaps[:, j]``, when given, receives chi at s = S + j/nt.
     """
-    nt = grid.nt
+    nt, nx = grid.nt, grid.nx
     xs = grid.nodes()
-    b = model.momentum_offset
+    b, e0 = model.momentum_offset, model.energy_offset
     alpha_max = lip_cap + abs(b)
+    offsets = np.arange(m_sub) * ds
     for j in range(nt):
         if snaps is not None:
             snaps[:, j] = chi
-        for mstep in range(m_sub):
-            s = S + j / nt + mstep * ds
-            chi = _step(model, chi, -s, ds, grid.dx, eps, xs, b, alpha_max)
+        s = S + j / nt + offsets
+        # time-independent families give one row, shared by the block
+        table = np.broadcast_to(model.potential_value(xs, -s[:, None]), (m_sub, nx))
+        for w in table:
+            chi = _step(chi, w, ds, grid.dx, eps, b, e0, alpha_max)
     return chi
 
 
@@ -144,9 +163,8 @@ def solve_cell(model, epsilon: float, grid: GridSpec, cell_tol: float = 1e-6,
             trace=residual_history)
 
     # hard ergodic-constant bracket: inf_x,t H(x,0,t) <= c(eps) <= sup H(x,0,t)
-    xs = grid.nodes()
     tprobe = np.arange(4 * nt) / (4 * nt)
-    h0 = np.array([model.hamiltonian(xs, np.zeros_like(xs), t) for t in tprobe])
+    h0 = model.hamiltonian(grid.nodes(), 0.0, tprobe[:, None])
     c_tol = 1e-6
     if not (h0.min() - c_tol <= c_est <= h0.max() + c_tol):
         raise NumericalQualityError(
@@ -162,6 +180,12 @@ def solve_cell(model, epsilon: float, grid: GridSpec, cell_tol: float = 1e-6,
     phi -= phi[normalize_node, 0]
 
     lip = lipschitz_constant(phi, dx)
+    if lip > lip_cap:
+        # alpha is capped at lip_cap + |b|, which bounds |H_p| = |D psi + b|
+        # only while |D psi| <= lip_cap: past it the step is not monotone
+        raise NumericalQualityError(
+            f"profile gradient lip_x={lip:.6g} exceeds lip_cap={lip_cap:.6g}; "
+            "the Lax-Friedrichs step is not monotone there")
     semi = semiconvexity_constant(phi, dx)
     return ViscousSolution(
         epsilon=epsilon, c_eps=c_est, phi=phi, lip_x=lip,

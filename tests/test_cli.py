@@ -1,7 +1,10 @@
+import copy
 import json
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from weakkam.cli import config_hash, load_config, main, run_config, validate_config
 from weakkam.errors import ConfigError
@@ -147,3 +150,62 @@ def test_main_entrypoint(tmp_path):
     assert main(["--config", str(path), "--command", "critical"]) == 0
     assert main(["--config", str(tmp_path / "absent.json"),
                  "--command", "critical"]) == 1
+
+
+FULL_CONFIG = {
+    "model": {**SMALL_MODEL, "momentum_shift": 0.0, "wind": 1},
+    "grid": {"nx": 96, "nt": 8},
+    "numerics": {"vmax": 4.0, "cell_tol": 1e-6, "barrier_tol": 1e-7,
+                 "shoot_tol": 1e-10, "slope_tol": 0.15, "grid_tol": 0.02,
+                 "aubry_tol": 0.02, "lip_cap": 4.0, "max_sweeps": 400,
+                 "max_periods": 600},
+    "sweep": {"eps_list": [0.05, 0.03, 0.02]},
+    "stochastic": {"n_paths": 200, "dt": 5e-4, "delta": 0.1, "kappa": 5.0,
+                   "seed": 77, "eps_list": [0.08, 0.04]},
+}
+
+# every numeric entry of FULL_CONFIG: (path to it, field the error must name)
+NUMERIC_FIELDS = (
+    [(("model", key), f"model.{key}")
+     for key in ("momentum_shift", "wind", "growth_constant")]
+    + [(("model", "potential", "terms", 1, i), "model.potential.terms") for i in range(3)]
+    + [(("grid", key), f"grid.{key}") for key in ("nx", "nt")]
+    + [(("numerics", key), f"numerics.{key}") for key in FULL_CONFIG["numerics"]]
+    + [(("sweep", "eps_list", 1), "sweep.eps_list")]
+    + [(("stochastic", key), f"stochastic.{key}")
+       for key in ("n_paths", "dt", "delta", "kappa", "seed")]
+    + [(("stochastic", "eps_list", 0), "stochastic.eps_list")])
+
+JUNK = st.one_of(st.text(max_size=6), st.none(), st.booleans(),
+                 st.lists(st.one_of(st.integers(), st.floats(), st.text(max_size=3)),
+                          max_size=3),
+                 st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+def test_negative_seed_override_names_field(tmp_path, capsys):
+    # the --seed override skips the config file, so it is checked on its own
+    path = write_config(tmp_path)
+    assert run_config(str(path), "critical", seed_override=-1) == 1
+    assert "stochastic.seed" in capsys.readouterr().err
+
+
+def test_full_config_is_valid():
+    validate_config(copy.deepcopy(FULL_CONFIG))
+
+
+@settings(max_examples=300, deadline=None)
+@given(entry=st.sampled_from(NUMERIC_FIELDS), junk=JUNK)
+@example(entry=(("grid", "nx"), "grid.nx"), junk="abc")
+@example(entry=(("model", "wind"), "model.wind"), junk="x")
+@example(entry=(("numerics", "vmax"), "numerics.vmax"), junk="fast")
+@example(entry=(("stochastic", "dt"), "stochastic.dt"), junk="x")
+def test_junk_in_any_numeric_field_names_it(entry, junk):
+    path, field = entry
+    cfg = copy.deepcopy(FULL_CONFIG)
+    block = cfg
+    for key in path[:-1]:
+        block = block[key]
+    block[path[-1]] = junk
+    with pytest.raises(ConfigError) as info:
+        validate_config(cfg)
+    assert info.value.field == field

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weakkam.errors import ConfigError
-from weakkam.model import (MECHANICAL, SHIFTED_KINETIC, TRAVELING_WAVE,
+from weakkam.model import (FAMILIES, MECHANICAL, SHIFTED_KINETIC, TRAVELING_WAVE,
                            HamiltonianModel, PotentialSpec, benchmark_potential,
                            model_from_config, verify_hypotheses)
+from weakkam.vv_analysis import RescaledModel
 
 RNG = np.random.default_rng(20240817)
 
@@ -184,3 +186,33 @@ def test_model_from_config_roundtrip():
     assert m.family == SHIFTED_KINETIC
     assert m.momentum_shift == 0.7
     assert m.potential.terms == ((0, -0.5, 0.0), (2, 0.5, 0.0))
+
+
+COEFF = st.floats(-1.0, 1.0)
+JET_FIELDS = ("H", "H_p", "H_x", "H_t", "H_pp", "H_xp", "H_xx")
+
+
+@st.composite
+def trig_models(draw):
+    """A family, a random trig potential it admits, and possibly the N = 2 rescaling."""
+    family = draw(st.sampled_from(FAMILIES))
+    wind = draw(st.sampled_from((1, 2))) if family == TRAVELING_WAVE else 1
+    freqs = draw(st.lists(st.sampled_from(range(0, 5, wind)), min_size=1, max_size=4))
+    terms = [(k, draw(COEFF), draw(COEFF)) for k in freqs]
+    model = HamiltonianModel(family=family, potential=PotentialSpec.from_terms(terms),
+                             momentum_shift=draw(COEFF), wind=wind)
+    return RescaledModel(model, 2) if draw(st.booleans()) else model
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=trig_models(), x=st.floats(-1.0, 2.0), p=st.floats(-5.0, 5.0),
+       t=st.floats(-1.0, 3.0))
+def test_scalar_jet_matches_array_jet(model, x, p, t):
+    # the flow's float path and the vectorised path read one coefficient table
+    scalar = model.jet(x, p, t)
+    array = model.jet(np.array([x]), np.array([p]), np.array([t]))
+    for name in JET_FIELDS:
+        value = getattr(scalar, name)
+        assert type(value) is float, name
+        expected = float(getattr(array, name)[0])
+        assert value == pytest.approx(expected, rel=1e-12, abs=1e-12), name

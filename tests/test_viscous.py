@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from weakkam.errors import ConfigError
+from weakkam.errors import ConfigError, NumericalQualityError
 from weakkam.model import HamiltonianModel, benchmark_potential
 from weakkam.variational import GridSpec
-from weakkam.viscous import (lipschitz_constant, residual_check, semiconvexity_constant,
-                             solve_cell, step_operator)
+from weakkam.viscous import (_march_period, cfl_timestep, lipschitz_constant,
+                             residual_check, semiconvexity_constant, solve_cell,
+                             step_operator)
 
 RNG = np.random.default_rng(99)
 
@@ -110,3 +111,37 @@ def test_benchmark_c_eps_negative_and_scaling(bench_model):
     assert s1.c_eps < 0 and s2.c_eps < 0
     ratio = s1.c_eps / s2.c_eps
     assert 1.7 <= ratio <= 2.3
+
+
+@pytest.mark.parametrize("which, shape, eps", [("tw", (160, 16), 0.025),
+                                               ("bench", (160, 32), 0.02)])
+def test_tabulated_march_matches_single_steps(which, shape, eps, tw_model, bench_model):
+    # one reversed period through the row-block table against step_operator,
+    # which evaluates H itself at every substep: the two must agree bit for bit
+    model = tw_model if which == "tw" else bench_model
+    grid = GridSpec(*shape)
+    lip_cap = 4.0
+    ds_cfl = cfl_timestep(grid, eps, lip_cap + abs(model.momentum_offset))
+    m_sub = math.ceil((1.0 / grid.nt) / ds_cfl)
+    ds = 1.0 / (grid.nt * m_sub)
+    xs = grid.nodes()
+    chi0 = 0.3 * np.sin(2 * np.pi * xs) + 0.1 * np.cos(6 * np.pi * xs)
+    S = 3
+    snaps = np.empty((grid.nx, grid.nt))
+    marched = _march_period(model, chi0, S, grid, m_sub, ds, eps, lip_cap, snaps=snaps)
+
+    chi = chi0
+    for j in range(grid.nt):
+        assert np.array_equal(snaps[:, j], chi)
+        for m in range(m_sub):
+            chi = step_operator(model, chi, -(S + j / grid.nt + m * ds), ds, grid, eps,
+                                lip_cap)
+    assert np.array_equal(marched, chi)
+
+
+def test_gradient_beyond_lip_cap_is_rejected(bench_model):
+    # the benchmark profile's gradient is about 1.33 at eps = 0.02
+    grid = GridSpec(64, 8)
+    assert solve_cell(bench_model, 0.02, grid, lip_cap=1.5).lip_x <= 1.5
+    with pytest.raises(NumericalQualityError, match=r"lip_x=1\.3.*lip_cap=0\.5"):
+        solve_cell(bench_model, 0.02, grid, lip_cap=0.5)
