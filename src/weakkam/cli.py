@@ -11,9 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -21,13 +19,12 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, WeakKamError, config_number
 from .model import model_from_config, verify_hypotheses
-from .dynamics import aubry_orbits, orbit_window
-from .orbit_hessian import fd_crosscheck, lambda_averages, unstable_hessian_curve
-from .variational import (GridSpec, anchored_barrier, aubry_verify, barrier_matrix,
-                          build_kernels, critical_value)
-from .viscous import residual_check, solve_cell
-from .vv_analysis import example_verify, rescale_check, slope_fit, sweep
-from .stochastic import (DriftField, StaticCenter, exit_time_scaling, lax_residual)
+from .orbit_hessian import lambda_averages
+# critical_value and solve_cell run inside Artifacts; they stay importable from here
+from .variational import GridSpec, aubry_verify, barrier_matrix, critical_value  # noqa: F401
+from .viscous import residual_check, solve_cell  # noqa: F401
+from .vv_analysis import Artifacts, example_verify, rescale_check, slope_fit, sweep
+from .stochastic import DriftField, exit_time_scaling, lax_residual
 
 COMMANDS = ("orbits", "critical", "barrier", "viscous", "sweep", "rescale",
             "example", "stochastic", "all")
@@ -169,60 +166,18 @@ def emit_reports(results: dict, command: str, cfg: dict, out_dir: str,
     return written
 
 
-class _Pipeline:
-    """Stage runner with memoized intermediate artifacts."""
+class _Pipeline(Artifacts):
+    """Stage runner over one run's artifacts, each built once (see ``Artifacts``)."""
 
     def __init__(self, cfg: dict):
         self.cfg = cfg
-        self.numerics = cfg["numerics"]
-        self.model = model_from_config(cfg["model"])
-        self.grid = GridSpec(int(cfg["grid"]["nx"]), int(cfg["grid"]["nt"]))
-        self._orbits = None
-        self._kernels = None
-        self._c0 = None
-        self._fields = None
-        self.wall = {}
-
-    def _timed(self, key, fn):
-        t0 = time.perf_counter()
-        out = fn()
-        self.wall[key] = round(time.perf_counter() - t0, 3)
-        return out
-
-    @property
-    def orbits(self):
-        if self._orbits is None:
-            extra = self.cfg.get("numerics", {}).get("seeds")
-            self._orbits = self._timed("orbits", lambda: aubry_orbits(
-                self.model, shoot_tol=self.numerics["shoot_tol"],
-                extra_seeds=extra))
-        return self._orbits
-
-    @property
-    def kernels(self):
-        if self._kernels is None:
-            self._kernels = self._timed("kernels", lambda: build_kernels(
-                self.model, self.grid, vmax=self.numerics["vmax"]))
-        return self._kernels
-
-    @property
-    def c0(self):
-        if self._c0 is None:
-            self._c0 = self._timed("critical", lambda: critical_value(self.kernels))
-        return self._c0
-
-    @property
-    def fields(self):
-        if self._fields is None:
-            window = orbit_window(self.orbits)
-            def build():
-                return [anchored_barrier(
-                    self.kernels, self.c0.c, o.anchor.x, window=window,
-                    barrier_tol=self.numerics["barrier_tol"],
-                    max_sweeps=int(self.numerics["max_sweeps"]), orbit_ref=i)
-                    for i, o in enumerate(self.orbits)]
-            self._fields = self._timed("barriers", build)
-        return self._fields
+        self.numerics = n = cfg["numerics"]
+        super().__init__(
+            model_from_config(cfg["model"]),
+            GridSpec(int(cfg["grid"]["nx"]), int(cfg["grid"]["nt"])),
+            vmax=n["vmax"], shoot_tol=n["shoot_tol"], barrier_tol=n["barrier_tol"],
+            max_sweeps=int(n["max_sweeps"]), cell_tol=n["cell_tol"],
+            max_periods=int(n["max_periods"]), lip_cap=n["lip_cap"])
 
     # ---- stages -----------------------------------------------------------
     def stage_orbits(self):
@@ -245,7 +200,7 @@ class _Pipeline:
         return results, {}, hyp.ok
 
     def stage_critical(self):
-        cv = self.c0
+        cv = self.critical
         results = {"c": cv.c, "c_karp": cv.c_karp, "c_power": cv.c_power,
                    "agreement": cv.agreement, "exact_regime": cv.exact_regime}
         return results, {}, cv.agreement <= 1e-6
@@ -265,7 +220,7 @@ class _Pipeline:
             tables[f"anchor{i}"] = (("x_index", "t_index", "x", "t", "h", "phi_pot"),
                                     rows)
         results = {
-            "c": self.c0.c,
+            "c": self.critical.c,
             "anchors": [f.anchor_x for f in fields],
             "window_osc": [f.window_osc for f in fields],
             "sweeps": [f.n_sweeps for f in fields],
@@ -284,10 +239,7 @@ class _Pipeline:
         records = []
         ok = True
         for eps in eps_list:
-            sol = self._timed(f"viscous_{eps}", lambda e=eps: solve_cell(
-                self.model, e, self.grid, cell_tol=self.numerics["cell_tol"],
-                max_periods=int(self.numerics["max_periods"]),
-                lip_cap=self.numerics["lip_cap"]))
+            sol = self.solution(eps)
             res = residual_check(self.model, sol)
             records.append({"epsilon": eps, "c_eps": sol.c_eps, "lip_x": sol.lip_x,
                             "semiconvexity_const": sol.semiconvexity_const,
@@ -309,16 +261,8 @@ class _Pipeline:
         _require(len(eps_list) >= 3, "sweep needs >= 3 viscosities",
                  "sweep.eps_list")
         rep = self._timed("sweep", lambda: sweep(
-            self.model, eps_list, self.grid,
-            vmax=self.numerics["vmax"], cell_tol=self.numerics["cell_tol"],
-            barrier_tol=self.numerics["barrier_tol"],
-            shoot_tol=self.numerics["shoot_tol"],
-            grid_tol=self.numerics["grid_tol"],
-            aubry_tol=self.numerics["aubry_tol"],
-            lip_cap=self.numerics["lip_cap"],
-            max_periods=int(self.numerics["max_periods"]),
-            max_sweeps=int(self.numerics["max_sweeps"]),
-            orbits=self.orbits))
+            self.model, eps_list, self.grid, grid_tol=self.numerics["grid_tol"],
+            aubry_tol=self.numerics["aubry_tol"], artifacts=self))
         verdict = slope_fit(rep, slope_tol=self.numerics["slope_tol"])
         trend_ok = all(b <= a * 1.10 for a, b in
                        zip(rep.limit_errors, rep.limit_errors[1:]))
@@ -351,9 +295,9 @@ class _Pipeline:
 
     def stage_rescale(self):
         rep = self._timed("rescale", lambda: rescale_check(
-            self.model, self.orbits, self.grid,
-            vmax=self.numerics["vmax"],
-            shoot_tol=max(self.numerics["shoot_tol"], 1e-5)))
+            self.model, self.orbits, self.grid, vmax=self.vmax,
+            barrier_tol=self.barrier_tol, shoot_tol=max(self.shoot_tol, 1e-5),
+            max_sweeps=self.max_sweeps))
         results = {
             "N": rep.N, "vacuous": rep.vacuous,
             "barrier_identity_error": rep.barrier_identity_error,
@@ -366,9 +310,7 @@ class _Pipeline:
         _require(self.model.family == "traveling_wave",
                  "example stage needs a traveling_wave model", "model.family")
         rep = self._timed("example", lambda: example_verify(
-            self.model.wind, self.model.potential, self.grid,
-            vmax=self.numerics["vmax"],
-            shoot_tol=max(self.numerics["shoot_tol"], 1e-5)))
+            self.model.wind, self.model.potential, self.grid, artifacts=self))
         results = {
             "k": rep.k, "maxima": rep.maxima,
             "orbit_count_ok": rep.orbit_count_ok,
@@ -393,20 +335,13 @@ class _Pipeline:
         kappa = float(stoch["kappa"])
 
         # selected orbit for the tube
-        curves = [unstable_hessian_curve(self.model, o, orbit_ref=i)
-                  for i, o in enumerate(self.orbits)]
-        lam = lambda_averages(curves)
+        lam = lambda_averages(self.curves)
         sel = self.orbits[lam.argmin[0]]
         drift = DriftField.from_barrier(self.model, self.fields[lam.argmin[0]])
         fw = self._timed("exit_scaling", lambda: exit_time_scaling(
             self.model, sel, drift, eps_list, delta, n_paths, kappa, dt, seed))
 
-        lax_eps = float(min(eps_list))
-        sol = self._timed("lax_solve", lambda: solve_cell(
-            self.model, lax_eps, self.grid,
-            cell_tol=self.numerics["cell_tol"],
-            max_periods=int(self.numerics["max_periods"]),
-            lip_cap=self.numerics["lip_cap"]))
+        sol = self.solution(min(eps_list))
         opt = DriftField.from_viscous(self.model, sol)
         probes = self._timed("lax_probes", lambda: lax_residual(
             self.model, sol, opt, kappa=min(kappa, 2.0), n_paths=n_paths,

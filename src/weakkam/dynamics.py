@@ -25,7 +25,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import IntegrationError, NumericalQualityError, OrbitNotFoundError, WeakKamError
-from .model import MECHANICAL, SHIFTED_KINETIC, TRAVELING_WAVE, HamiltonianModel
+from .model import HamiltonianModel
 
 DEFAULT_MAX_STEP = 1e-3
 
@@ -293,8 +293,8 @@ def orbit_window(orbits: list[PeriodicOrbit]) -> int:
 
 
 def potential_maxima(model: HamiltonianModel, n_scan: int = 4096) -> list[float]:
-    """Nondegenerate maxima of the potential in [0, cell) via sign changes of V'."""
-    cell = 1.0 / model.wind if model.family == TRAVELING_WAVE else 1.0
+    """Nondegenerate maxima of the potential in [0, 1/k) via sign changes of V'."""
+    cell = 1.0 / model.cells
     xs = np.linspace(0.0, cell, n_scan, endpoint=False)
     d1 = model.potential.d1(xs)
     maxima = []
@@ -323,39 +323,24 @@ def potential_maxima(model: HamiltonianModel, n_scan: int = 4096) -> list[float]
 
 
 def aubry_orbits(model: HamiltonianModel, shoot_tol: float = 1e-10,
-                 max_step: float = DEFAULT_MAX_STEP, extra_seeds=None,
-                 confirm: bool = True, confirm_grid: tuple[int, int] = (256, 32),
-                 confirm_tol: float = 0.05,
+                 max_step: float = DEFAULT_MAX_STEP,
                  hyperbolicity_margin: float = 0.1) -> list[PeriodicOrbit]:
-    """Candidate orbits of the projected Aubry set for the built-in families.
+    """Candidate orbits of the projected Aubry set, one per maximum of the cell.
 
-    Mechanical / shifted-kinetic models (time-independent potential): one
-    fixed-point orbit per nondegenerate potential maximum, with the momentum
-    solving x' = H_p = 0.  Traveling-wave models: one orbit of period k and
-    winding -1 per maximum of the 1/k-periodic cell.  Candidates are confirmed
-    by the vanishing of their own anchored barrier diagonal unless ``confirm``
-    is disabled.
+    In the frame moving with V (x + w t fixed) each orbit rests at a
+    nondegenerate maximum x_m of V, so x' = H_p = -w fixes the momentum,
+    p = -w/m - b.  The orbit closes after k periods (k = 1 when w = 0;
+    w = 1/k otherwise) with winding -1 when w != 0 and 0 when w = 0.
+    Candidates are not confirmed here: confirmation needs the anchored
+    barriers (see ``vv_analysis.Artifacts``).
     """
-    maxima = potential_maxima(model)
-    seeds: list[tuple[PhasePoint, int, int]] = []
-    if model.family in (MECHANICAL, SHIFTED_KINETIC):
-        p_rest = -model.momentum_offset  # makes x' = H_p vanish
-        for xm in maxima:
-            seeds.append((PhasePoint(xm, p_rest, 0.0), 1, 0))
-    elif model.family == TRAVELING_WAVE:
-        for xm in maxima:
-            seeds.append((PhasePoint(xm, 0.0, 0.0), model.wind, -1))
-    if extra_seeds:
-        for entry in extra_seeds:
-            seeds.append((PhasePoint(float(entry[0]), float(entry[1]), 0.0),
-                          int(entry[2]) if len(entry) > 2 else 1,
-                          int(entry[3]) if len(entry) > 3 else 0))
-
+    p_rest = -model.speed / model.mass - model.momentum_offset
+    winding = -1 if model.speed else 0
     orbits: list[PeriodicOrbit] = []
-    for seed, period, winding in seeds:
+    for xm in potential_maxima(model):
         try:
-            orbit = find_periodic_orbit(model, seed, period, winding,
-                                        shoot_tol=shoot_tol, max_step=max_step,
+            orbit = find_periodic_orbit(model, PhasePoint(xm, p_rest, 0.0), model.cells,
+                                        winding, shoot_tol=shoot_tol, max_step=max_step,
                                         hyperbolicity_margin=hyperbolicity_margin)
         except (OrbitNotFoundError, IntegrationError):
             continue
@@ -369,26 +354,6 @@ def aubry_orbits(model: HamiltonianModel, shoot_tol: float = 1e-10,
                 break
         if not duplicate:
             orbits.append(orbit)
-
-    if confirm and orbits:
-        orbits = _confirm_by_barrier_diagonal(model, orbits, confirm_grid, confirm_tol)
     if not orbits:
         raise WeakKamError("no Aubry orbit candidates survived")
     return orbits
-
-
-def _confirm_by_barrier_diagonal(model, orbits, grid_shape, tol):
-    """Keep candidates whose anchored barrier vanishes along their own trace."""
-    from .variational import GridSpec, anchored_barrier, aubry_verify, build_kernels, critical_value
-
-    grid = GridSpec(*grid_shape)
-    kernels = build_kernels(model, grid)
-    c = critical_value(kernels).c
-    window = orbit_window(orbits)
-    confirmed = []
-    for orbit in orbits:
-        fld = anchored_barrier(kernels, c, orbit.anchor.x, window=window)
-        res = aubry_verify([fld], [orbit], aubry_tol=tol)[0]
-        if res.ok:
-            confirmed.append(orbit)
-    return confirmed

@@ -7,6 +7,12 @@ Legendre transform is closed-form and kernels stay exact:
 * ``shifted_kinetic``  H(x,p)   = (p+P)^2/2 + V(x)
 * ``traveling_wave``   H(x,p,t) = p^2/2 - p/k + V(x + t/k),  V required 1/k-periodic
 
+All three are one form, H = m (p + b)^2/2 + e0 + V(x + w t) with V periodic
+on cells of length 1/k, and a model turns its family name into the numbers
+(m, b, e0, w, k) once, when it is built; nothing downstream reads the name.
+The families have m = 1; the rescaled model H(x, Np, Nt) is the same form
+with m N^2, b/N and w N.
+
 Potentials are finite trigonometric series, so every spatial derivative is
 exact and 1-periodicity holds to rounding error.  The series is held once, as
 the coefficients (A_n, B_n) of V^(n)(x) = sum A_n cos(w x) + B_n sin(w x);
@@ -19,7 +25,7 @@ All evaluators broadcast over numpy arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 import math
 
@@ -153,15 +159,26 @@ class Jet:
 
 @dataclass(frozen=True)
 class HamiltonianModel:
-    """One of the closed-form families plus its standing-hypothesis constants."""
+    """One of the closed-form families plus its standing-hypothesis constants.
+
+    ``N`` rescales time: the model with N is H(x, Np, Nt) of the model with
+    N = 1.  The numbers of the form are set from the family in
+    ``__post_init__``: ``mass`` m, ``momentum_offset`` b, ``energy_offset``
+    e0, ``speed`` w and ``cells`` k.
+    """
 
     family: str
     potential: PotentialSpec = field(default_factory=PotentialSpec.zero)
     momentum_shift: float = 0.0
     wind: int = 1
     growth_constant: float = 8.0
-    dimension: int = 1
     convexity_floor: float = 1e-8
+    N: int = 1
+    mass: float = field(init=False)
+    momentum_offset: float = field(init=False)
+    energy_offset: float = field(init=False)
+    speed: float = field(init=False)
+    cells: int = field(init=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -177,30 +194,29 @@ class HamiltonianModel:
                     field="model.potential")
         if self.growth_constant <= 0:
             raise ConfigError("growth_constant must be positive", field="model.growth_constant")
+        if int(self.N) != self.N or self.N < 1:
+            raise ConfigError(f"rescaling N must be a positive integer, got {self.N!r}")
+        # (b, e0, w, k) of the family, then H(x, Np, Nt) = N^2 (p + b/N)^2/2 + e0 + V(x + N w t)
+        b, e0, w, k = {
+            MECHANICAL: (0.0, 0.0, 0.0, 1),
+            SHIFTED_KINETIC: (self.momentum_shift, 0.0, 0.0, 1),
+            TRAVELING_WAVE: (-1.0 / self.wind, -0.5 / self.wind ** 2, 1.0 / self.wind,
+                             self.wind),
+        }[self.family]
+        for name, value in (("mass", float(self.N * self.N)), ("momentum_offset", b / self.N),
+                            ("energy_offset", e0), ("speed", self.N * w), ("cells", k)):
+            object.__setattr__(self, name, value)
 
-    # Every family is (p + b)^2/2 + e0 + W(x, t) with W a shifted copy of V.
-    @property
-    def momentum_offset(self) -> float:
-        if self.family == SHIFTED_KINETIC:
-            return self.momentum_shift
-        if self.family == TRAVELING_WAVE:
-            return -1.0 / self.wind
-        return 0.0
-
-    @property
-    def energy_offset(self) -> float:
-        if self.family == TRAVELING_WAVE:
-            return -0.5 / self.wind ** 2
-        return 0.0
+    def rescaled(self, N: int) -> "HamiltonianModel":
+        """The model H_N(x, p, t) = H(x, Np, Nt), one period of which packs N of H."""
+        return replace(self, N=self.N * N)
 
     def _space_arg(self, x, t):
-        """Argument of V: x + t/k for the traveling wave, x otherwise.
+        """Argument of V: x + w t, or x itself when w = 0.
 
         Floats stay floats; callers pass arrays when they want arrays.
         """
-        if self.family == TRAVELING_WAVE:
-            return x + t / self.wind
-        return x
+        return x + self.speed * t if self.speed else x
 
     def _space_array(self, x, t):
         return self._space_arg(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
@@ -209,9 +225,9 @@ class HamiltonianModel:
         return self.potential.value(self._space_array(x, t))
 
     def hamiltonian(self, x, p, t=0.0):
-        p = np.asarray(p, dtype=float)
-        q = p + self.momentum_offset
-        return 0.5 * q * q + self.energy_offset + self.potential.value(self._space_array(x, t))
+        q = np.asarray(p, dtype=float) + self.momentum_offset
+        return (0.5 * self.mass * q * q + self.energy_offset
+                + self.potential.value(self._space_array(x, t)))
 
     def jet(self, x, p, t=0.0) -> Jet:
         """Full first/second derivative jet of H at (x, p, t).
@@ -219,30 +235,31 @@ class HamiltonianModel:
         Scalar arguments (numpy scalars included) give float entries computed
         without numpy; arrays broadcast.
         """
+        m = self.mass
         if _is_scalar(x) and _is_scalar(p) and _is_scalar(t):
             y, p = self._space_arg(float(x), float(t)), float(p)
-            one, zero, h_t = 1.0, 0.0, 0.0
+            h_pp, zero, h_t = m, 0.0, 0.0
         else:
             y, p = np.broadcast_arrays(self._space_array(x, t), np.asarray(p, dtype=float))
-            one, zero, h_t = np.ones_like(p), np.zeros_like(p), np.zeros_like(p)
+            h_pp, zero, h_t = np.full_like(p, m), np.zeros_like(p), np.zeros_like(p)
         v0, v1, v2 = self.potential.jet(y)
         q = p + self.momentum_offset
-        h = 0.5 * q * q + self.energy_offset + v0
-        if self.family == TRAVELING_WAVE:
-            h_t = v1 / self.wind
-        return Jet(H=h, H_p=q, H_x=v1, H_t=h_t, H_pp=one, H_xp=zero, H_xx=v2)
+        h = 0.5 * m * q * q + self.energy_offset + v0
+        if self.speed:
+            h_t = self.speed * v1
+        return Jet(H=h, H_p=m * q, H_x=v1, H_t=h_t, H_pp=h_pp, H_xp=zero, H_xx=v2)
 
     def lagrangian(self, x, v, t=0.0):
-        """Legendre pair (L, L_v); the maximizing momentum is p* = v - b."""
+        """Legendre pair (L, L_v); the maximizing momentum is p* = v/m - b."""
         y = self._space_array(x, t)
         v = np.asarray(v, dtype=float)
         b = self.momentum_offset
-        lval = 0.5 * v * v - b * v - self.energy_offset - self.potential.value(y)
-        return lval, v - b
+        lval = 0.5 / self.mass * v * v - b * v - self.energy_offset - self.potential.value(y)
+        return lval, v / self.mass - b
 
     def h_p_of_gradient(self, x, p, t=0.0):
-        """Drift H_p(x, p, t); affine in p for all built-in families."""
-        return np.asarray(p, dtype=float) + self.momentum_offset
+        """Drift H_p(x, p, t) = m (p + b)."""
+        return self.mass * (np.asarray(p, dtype=float) + self.momentum_offset)
 
 
 @dataclass(frozen=True)
@@ -299,12 +316,8 @@ def verify_hypotheses(model: HamiltonianModel, n_x: int = 128, n_p: int = 64,
     hs = model.hamiltonian(xp, pp, tp)
     res_space = float(np.max(np.abs(model.hamiltonian(xp + 1.0, pp, tp) - hs)))
     res_time = float(np.max(np.abs(model.hamiltonian(xp, pp, tp + 1.0) - hs)))
-    if model.family == TRAVELING_WAVE:
-        k = model.wind
-        res_cell = float(np.max(np.abs(
-            model.potential.value(xp + 1.0 / k) - model.potential.value(xp))))
-    else:
-        res_cell = 0.0
+    res_cell = float(np.max(np.abs(
+        model.potential.value(xp + 1.0 / model.cells) - model.potential.value(xp))))
 
     return HypothesisReport(
         min_h_pp=min_hpp,

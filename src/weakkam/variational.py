@@ -91,7 +91,7 @@ def build_kernels(model, grid: GridSpec, vmax: float = 4.0) -> ActionKernelSet:
     velocities = offsets * (nt / nx)
     xq = grid.nodes()[None, :] + offsets[:, None] / (2.0 * nx)
     costs = []
-    time_independent = getattr(model, "family", None) in ("mechanical", "shifted_kinetic")
+    time_independent = model.speed == 0   # V does not move: one kernel serves every substep
     for j in range(nt if not time_independent else 1):
         t_mid = (j + 0.5) / nt
         lval, _ = model.lagrangian(xq, np.broadcast_to(velocities[:, None], xq.shape), t_mid)

@@ -14,7 +14,7 @@ time-periodic regime, the per-period mean increment is c(eps) and the
 drift-corrected profile, mapped back to forward time, is the solution
 normalized at a configured anchor node.
 
-Every family is H = q^2/2 + e0 + W(x, t) with q = p + b, so the march
+Every model is H = m q^2/2 + e0 + W(x, t) with q = p + b, so the march
 tabulates W once per row block, at the block's m_sub step times
 s = S + j/nt + m ds in one vectorised call, and each step reads its row.  The
 times and the order of operations are those of a step that evaluates H itself
@@ -56,11 +56,12 @@ class ViscousSolution:
 
 
 def _step(chi: np.ndarray, w: np.ndarray, ds: float, dx: float, eps: float,
-          b: float, e0: float, alpha_cap: float) -> np.ndarray:
+          m: float, b: float, e0: float, q_cap: float) -> np.ndarray:
     """One explicit monotone update of psi_s = eps Lap(psi) + H(x, D psi, tau).
 
-    ``w`` holds V's shifted copy W(x, tau) at the nodes, so H = q^2/2 + e0 + w
-    with q = D psi + b.
+    ``w`` holds V's shifted copy W(x, tau) at the nodes, so H = m q^2/2 + e0 + w
+    with q = D psi + b, and the dissipation coefficient m alpha, with alpha
+    the stencil's largest |q| capped at ``q_cap``, bounds |H_p| = m |q|.
     """
     # np.roll costs several times a plain concatenate on rows this short
     left = np.concatenate((chi[-1:], chi[:-1]))
@@ -68,11 +69,12 @@ def _step(chi: np.ndarray, w: np.ndarray, ds: float, dx: float, eps: float,
     pm = (chi - left) / dx
     pp = (right - chi) / dx
     lap = (left + right - 2.0 * chi) / (dx * dx)
-    alpha = np.minimum(np.maximum(np.abs(pm + b), np.abs(pp + b)), alpha_cap)
+    alpha = np.minimum(np.maximum(np.abs(pm + b), np.abs(pp + b)), q_cap)
     # the +H sign of the evolution flips the usual dissipation sign: with
-    # alpha >= |H_p| this upwinds correctly (H = a p picks p_plus for a > 0)
+    # m alpha >= |H_p| this upwinds correctly (H = a p picks p_plus for a > 0)
     q = 0.5 * (pm + pp) + b
-    h_num = 0.5 * q * q + e0 + w + 0.5 * alpha * (pp - pm)
+    half_m = 0.5 * m
+    h_num = half_m * q * q + e0 + w + half_m * alpha * (pp - pm)
     return chi + ds * (eps * lap + h_num)
 
 
@@ -80,7 +82,7 @@ def step_operator(model, chi, tau, ds, grid: GridSpec, eps, lip_cap=4.0):
     """Public single-step wrapper (used by monotonicity spot checks)."""
     b = model.momentum_offset
     w = model.potential_value(grid.nodes(), tau)
-    return _step(np.asarray(chi, dtype=float), w, ds, grid.dx, eps, b,
+    return _step(np.asarray(chi, dtype=float), w, ds, grid.dx, eps, model.mass, b,
                  model.energy_offset, lip_cap + abs(b))
 
 
@@ -95,17 +97,17 @@ def _march_period(model, chi: np.ndarray, S: float, grid: GridSpec, m_sub: int,
     """
     nt, nx = grid.nt, grid.nx
     xs = grid.nodes()
-    b, e0 = model.momentum_offset, model.energy_offset
-    alpha_max = lip_cap + abs(b)
+    m, b, e0 = model.mass, model.momentum_offset, model.energy_offset
+    q_cap = lip_cap + abs(b)
     offsets = np.arange(m_sub) * ds
     for j in range(nt):
         if snaps is not None:
             snaps[:, j] = chi
         s = S + j / nt + offsets
-        # time-independent families give one row, shared by the block
+        # a model with w = 0 gives one row, shared by the block
         table = np.broadcast_to(model.potential_value(xs, -s[:, None]), (m_sub, nx))
         for w in table:
-            chi = _step(chi, w, ds, grid.dx, eps, b, e0, alpha_max)
+            chi = _step(chi, w, ds, grid.dx, eps, m, b, e0, q_cap)
     return chi
 
 
@@ -128,7 +130,9 @@ def solve_cell(model, epsilon: float, grid: GridSpec, cell_tol: float = 1e-6,
         raise ConfigError("epsilon must be positive", field="sweep.eps_list")
     nx, nt = grid.nx, grid.nt
     dx = grid.dx
-    ds_cfl = cfl_timestep(grid, epsilon, lip_cap + abs(model.momentum_offset), safety)
+    # |H_p| = m |p + b| <= m (lip_cap + |b|) while |p| <= lip_cap
+    ds_cfl = cfl_timestep(grid, epsilon, model.mass * (lip_cap + abs(model.momentum_offset)),
+                          safety)
     m_sub = max(1, int(math.ceil((1.0 / nt) / ds_cfl)))
     if m_sub * nt > MAX_SUBSTEPS:
         raise ConfigError(
@@ -181,8 +185,8 @@ def solve_cell(model, epsilon: float, grid: GridSpec, cell_tol: float = 1e-6,
 
     lip = lipschitz_constant(phi, dx)
     if lip > lip_cap:
-        # alpha is capped at lip_cap + |b|, which bounds |H_p| = |D psi + b|
-        # only while |D psi| <= lip_cap: past it the step is not monotone
+        # alpha is capped at lip_cap + |b|, which bounds |D psi + b| only
+        # while |D psi| <= lip_cap: past it the step is not monotone
         raise NumericalQualityError(
             f"profile gradient lip_x={lip:.6g} exceeds lip_cap={lip_cap:.6g}; "
             "the Lax-Friedrichs step is not monotone there")

@@ -6,73 +6,106 @@ over the minimizing set, and the eps-sweep compares each normalized viscous
 profile against it.  The period-rescaling check verifies that barriers and
 averaged Laplacians transform consistently when one period of the rescaled
 flow H_N(x, p, t) = H(x, Np, Nt) packs N original periods.
+
+Everything these checks read off one grid -- the confirmed Aubry orbits, the
+kernels, c(0), the anchored barriers, the Hessian curves and the viscous
+solutions -- is built once per run by ``Artifacts``.  The CLI pipeline holds
+one; each function here builds its own when it is not handed one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 import math
+import time
 
 import numpy as np
 
 from .errors import CompatibilityError, WeakKamError
-from .dynamics import (PeriodicOrbit, aubry_orbits, find_periodic_orbit, orbit_window,
-                       PhasePoint)
+from .dynamics import (PeriodicOrbit, PhasePoint, aubry_orbits, find_periodic_orbit,
+                       orbit_window, potential_maxima)
 from .model import MECHANICAL, TRAVELING_WAVE, HamiltonianModel, PotentialSpec
-from .orbit_hessian import (HessianCurve, LambdaReport, fd_crosscheck,
-                            lambda_averages, unstable_hessian_curve)
-from .variational import (BarrierField, GridSpec, anchored_barrier, aubry_verify,
-                          barrier_matrix, build_kernels, critical_value)
+from .orbit_hessian import (HessianCurve, fd_crosscheck, lambda_averages,
+                            unstable_hessian_curve)
+from .variational import (BarrierField, CriticalValueResult, GridSpec, anchored_barrier,
+                          aubry_verify, barrier_matrix, build_kernels, critical_value)
 from .viscous import ViscousSolution, solve_cell
 
+CONFIRM_TOL = 0.05   # largest barrier diagonal along a candidate's own trace
 
-@dataclass(frozen=True)
-class RescaledModel:
-    """Evaluation rule H_N(x, p, t) = H(x, Np, Nt) wrapping a base model.
 
-    Quacks like a HamiltonianModel for the flow, kernel and Hessian machinery;
-    the rescaled Lagrangian is L_N(x, v, t) = L(x, v/N, Nt).
+class Artifacts:
+    """One run's objects on one grid, each built once, when first asked for.
+
+    ``orbits`` are the candidates of ``aubry_orbits`` whose own anchored
+    barrier vanishes along their trace (to ``CONFIRM_TOL``), and ``fields``
+    are those barriers; ``solution(eps)`` is the viscous solution normalized
+    at node 0.  ``wall`` holds the seconds each build took.
     """
 
-    base: HamiltonianModel
-    N: int
+    def __init__(self, model: HamiltonianModel, grid: GridSpec, vmax: float = 4.0,
+                 shoot_tol: float = 1e-10, barrier_tol: float = 1e-7, max_sweeps: int = 400,
+                 cell_tol: float = 1e-6, max_periods: int = 600, lip_cap: float = 4.0):
+        self.model, self.grid, self.vmax = model, grid, vmax
+        self.shoot_tol, self.barrier_tol, self.max_sweeps = shoot_tol, barrier_tol, max_sweeps
+        self.cell_tol, self.max_periods, self.lip_cap = cell_tol, max_periods, lip_cap
+        self.wall: dict[str, float] = {}
+        self._solutions: dict[float, ViscousSolution] = {}
+
+    def _timed(self, key, build):
+        t0 = time.perf_counter()
+        out = build()
+        self.wall[key] = round(time.perf_counter() - t0, 3)
+        return out
+
+    @cached_property
+    def kernels(self):
+        return self._timed("kernels", lambda: build_kernels(self.model, self.grid,
+                                                             vmax=self.vmax))
+
+    @cached_property
+    def critical(self) -> CriticalValueResult:
+        return self._timed("critical", lambda: critical_value(self.kernels))
+
+    def barrier(self, anchor_x: float, window: int, orbit_ref: int = -1) -> BarrierField:
+        return anchored_barrier(self.kernels, self.critical.c, anchor_x, window=window,
+                                barrier_tol=self.barrier_tol, max_sweeps=self.max_sweeps,
+                                orbit_ref=orbit_ref)
+
+    @cached_property
+    def _confirmed(self):
+        candidates = self._timed("orbits", lambda: aubry_orbits(self.model,
+                                                                shoot_tol=self.shoot_tol))
+        window = orbit_window(candidates)
+        fields = self._timed("barriers", lambda: [
+            self.barrier(o.anchor.x, window, orbit_ref=i) for i, o in enumerate(candidates)])
+        verdicts = aubry_verify(fields, candidates, aubry_tol=CONFIRM_TOL)
+        kept = [(o, f) for o, f, r in zip(candidates, fields, verdicts) if r.ok]
+        if not kept:
+            raise WeakKamError("no Aubry orbit candidates survived")
+        return [o for o, _ in kept], [replace(f, orbit_ref=i) for i, (_, f) in enumerate(kept)]
 
     @property
-    def family(self) -> str:
-        return self.base.family
+    def orbits(self) -> list[PeriodicOrbit]:
+        return self._confirmed[0]
 
     @property
-    def wind(self) -> int:
-        return self.base.wind
+    def fields(self) -> list[BarrierField]:
+        return self._confirmed[1]
 
-    @property
-    def potential(self):
-        return self.base.potential
+    @cached_property
+    def curves(self) -> list[HessianCurve]:
+        return [unstable_hessian_curve(self.model, o, orbit_ref=i)
+                for i, o in enumerate(self.orbits)]
 
-    @property
-    def momentum_offset(self) -> float:
-        return self.base.momentum_offset / self.N
-
-    @property
-    def energy_offset(self) -> float:
-        return self.base.energy_offset
-
-    def hamiltonian(self, x, p, t=0.0):
-        return self.base.hamiltonian(x, self.N * np.asarray(p, dtype=float),
-                                     self.N * np.asarray(t, dtype=float))
-
-    def jet(self, x, p, t=0.0):
-        from .model import Jet
-        N = self.N
-        j = self.base.jet(x, N * np.asarray(p, dtype=float), N * np.asarray(t, dtype=float))
-        return Jet(H=j.H, H_p=N * j.H_p, H_x=j.H_x, H_t=N * j.H_t,
-                   H_pp=N * N * j.H_pp, H_xp=N * j.H_xp, H_xx=j.H_xx)
-
-    def lagrangian(self, x, v, t=0.0):
-        N = self.N
-        lval, lv = self.base.lagrangian(x, np.asarray(v, dtype=float) / N,
-                                        N * np.asarray(t, dtype=float))
-        return lval, lv / N
+    def solution(self, eps: float) -> ViscousSolution:
+        eps = float(eps)
+        if eps not in self._solutions:
+            self._solutions[eps] = self._timed(f"viscous_{eps}", lambda: solve_cell(
+                self.model, eps, self.grid, cell_tol=self.cell_tol,
+                max_periods=self.max_periods, lip_cap=self.lip_cap))
+        return self._solutions[eps]
 
 
 def predicted_limit(anchor_values, fields: list[BarrierField], argmin: list[int],
@@ -186,37 +219,39 @@ def sweep(model, eps_list, grid: GridSpec, vmax: float = 4.0,
           shoot_tol: float = 1e-10, grid_tol: float = 0.02,
           aubry_tol: float = 0.02, lip_cap: float = 4.0,
           max_periods: int = 600, max_sweeps: int = 400,
-          grad_band_cells: int = 5, orbits=None) -> SweepReport:
-    """Full pipeline: orbits -> c(0) -> barriers -> lambdas -> eps solves -> limits."""
+          grad_band_cells: int = 5, artifacts: Artifacts | None = None) -> SweepReport:
+    """Full pipeline: orbits -> c(0) -> barriers -> lambdas -> eps solves -> limits.
+
+    ``artifacts``, when given, must be built for ``model`` on ``grid``; it
+    then supplies everything and the numerics arguments are not read.  The
+    solutions it holds are normalized at node 0 and are renormalized here at
+    the selected orbit's anchor.
+    """
     eps_arr = [float(e) for e in eps_list]
     if any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
         raise WeakKamError("eps_list must be strictly decreasing")
 
-    if orbits is None:
-        orbits = aubry_orbits(model, shoot_tol=shoot_tol)
-    kernels = build_kernels(model, grid, vmax=vmax)
-    c0 = critical_value(kernels).c
-    window = orbit_window(orbits)
-    fields = [anchored_barrier(kernels, c0, o.anchor.x, window=window,
-                               barrier_tol=barrier_tol, max_sweeps=max_sweeps,
-                               orbit_ref=i)
-              for i, o in enumerate(orbits)]
+    art = artifacts or Artifacts(model, grid, vmax=vmax, shoot_tol=shoot_tol,
+                                 barrier_tol=barrier_tol, max_sweeps=max_sweeps,
+                                 cell_tol=cell_tol, max_periods=max_periods,
+                                 lip_cap=lip_cap)
+    orbits, fields, c0 = art.orbits, art.fields, art.critical.c
     residuals = aubry_verify(fields, orbits, aubry_tol=aubry_tol)
     bad = [r.orbit_ref for r in residuals if not r.ok]
     if bad:
         raise WeakKamError(f"orbits {bad} failed the barrier-diagonal check")
 
-    curves = [unstable_hessian_curve(model, o, orbit_ref=i)
-              for i, o in enumerate(orbits)]
+    curves = art.curves
     lam_rep = lambda_averages(curves)
     selected = lam_rep.argmin
     sel_anchor = orbits[selected[0]].anchor.x
     norm_node = int(round((sel_anchor % 1.0) * grid.nx)) % grid.nx
 
-    solutions = [solve_cell(model, eps, grid, cell_tol=cell_tol,
-                            max_periods=max_periods, lip_cap=lip_cap,
-                            normalize_node=norm_node)
-                 for eps in eps_arr]
+    solutions = []
+    for eps in eps_arr:
+        sol = art.solution(eps)
+        solutions.append(replace(sol, phi=sol.phi - sol.phi[norm_node, 0],
+                                 anchor_node=norm_node))
 
     H, _ = barrier_matrix(fields)
     # anchor values of the limit: zero at the selected orbit, the rest read
@@ -309,20 +344,16 @@ def rescale_check(model, orbits: list[PeriodicOrbit], grid: GridSpec,
         return RescaleReport(N=1, vacuous=True, barrier_identity_error=0.0,
                              worst_node=(), lambda_errors=[], c_original=0.0,
                              c_rescaled=0.0)
-    rmodel = RescaledModel(model, N)
-    kernels = build_kernels(model, grid, vmax=vmax)
-    c = critical_value(kernels).c
-
-    rgrid = GridSpec(grid.nx, grid.nt * N)
-    rkernels = build_kernels(rmodel, rgrid, vmax=vmax * N)
-    c_r = critical_value(rkernels).c
+    rmodel = model.rescaled(N)
+    numerics = dict(barrier_tol=barrier_tol, max_sweeps=max_sweeps)
+    original = Artifacts(model, grid, vmax=vmax, **numerics)
+    rescaled = Artifacts(rmodel, GridSpec(grid.nx, grid.nt * N), vmax=vmax * N, **numerics)
 
     worst_err = 0.0
     worst_node = ()
     lambda_errors = []
     for orbit in orbits:
-        field0 = anchored_barrier(kernels, c, orbit.anchor.x, window=N,
-                                  barrier_tol=barrier_tol, max_sweeps=max_sweeps)
+        field0 = original.barrier(orbit.anchor.x, window=N)
         curve0 = unstable_hessian_curve(model, orbit)
         rfields = []
         for j in range(1, orbit.period + 1):
@@ -332,9 +363,7 @@ def rescale_check(model, orbits: list[PeriodicOrbit], grid: GridSpec,
                 rmodel, PhasePoint(anchor_j, p_j, 0.0), 1,
                 winding=orbit.winding * (N // orbit.period),
                 shoot_tol=shoot_tol)
-            rfields.append(anchored_barrier(rkernels, c_r, rorbit.anchor.x,
-                                            window=1, barrier_tol=barrier_tol,
-                                            max_sweeps=max_sweeps))
+            rfields.append(rescaled.barrier(rorbit.anchor.x, window=1))
             rcurve = unstable_hessian_curve(rmodel, rorbit)
             lambda_errors.append(abs(N * rcurve.lambda_i - curve0.lambda_i))
         stack = np.stack([f.h for f in rfields])
@@ -348,7 +377,8 @@ def rescale_check(model, orbits: list[PeriodicOrbit], grid: GridSpec,
                 worst_node = (int(np.argmax(err_col)), s)
     return RescaleReport(N=N, vacuous=False, barrier_identity_error=worst_err,
                          worst_node=worst_node, lambda_errors=lambda_errors,
-                         c_original=c, c_rescaled=c_r)
+                         c_original=original.critical.c,
+                         c_rescaled=rescaled.critical.c)
 
 
 @dataclass
@@ -372,7 +402,8 @@ class ExampleReport:
 
 def example_verify(k: int, potential: PotentialSpec, grid: GridSpec,
                    vmax: float = 4.0, shoot_tol: float = 1e-5,
-                   barrier_tol: float = 1e-7, max_sweeps: int = 400) -> ExampleReport:
+                   barrier_tol: float = 1e-7, max_sweeps: int = 400,
+                   artifacts: Artifacts | None = None) -> ExampleReport:
     """Traveling-wave verification: orbits, curvature law, barrier transport.
 
     Checks that (a) the orbits are the k-translates of the cell maxima,
@@ -380,29 +411,27 @@ def example_verify(k: int, potential: PotentialSpec, grid: GridSpec,
     both the propagated-subspace average and the grid second difference,
     (c) the barrier is carried by the wave: h(x, [t], anchor) equals the
     autonomous barrier to the nearest of the k translate anchors evaluated at
-    x + t/k.
+    x + t/k.  ``artifacts``, when given, must be built for the traveling wave
+    (k, potential) on ``grid``; it supplies the orbits, barriers and curves,
+    and its numerics serve the autonomous companion.
     """
-    model = HamiltonianModel(family=TRAVELING_WAVE, potential=potential, wind=k)
-    orbits = aubry_orbits(model, shoot_tol=shoot_tol, confirm=False)
-    from .dynamics import potential_maxima
-    maxima = potential_maxima(model)
+    art = artifacts or Artifacts(
+        HamiltonianModel(family=TRAVELING_WAVE, potential=potential, wind=k), grid,
+        vmax=vmax, shoot_tol=shoot_tol, barrier_tol=barrier_tol, max_sweeps=max_sweeps)
+    orbits = art.orbits
+    maxima = potential_maxima(art.model)
     orbit_count_ok = len(orbits) == len(maxima) and all(o.period == k for o in orbits)
 
-    kernels = build_kernels(model, grid, vmax=vmax)
-    c = critical_value(kernels).c
-    window = orbit_window(orbits)
-
     # autonomous companion on the same grid
-    auto = HamiltonianModel(family=MECHANICAL, potential=potential)
-    akernels = build_kernels(auto, grid, vmax=vmax)
-    c_a = critical_value(akernels).c
+    auto = Artifacts(HamiltonianModel(family=MECHANICAL, potential=potential), grid,
+                     vmax=art.vmax, barrier_tol=art.barrier_tol, max_sweeps=art.max_sweeps)
 
     translate_residual = 0.0
     riccati_errors = []
     fd_deviations = []
     shift_err = 0.0
     expected = []
-    nx, nt = grid.nx, grid.nt
+    nt = grid.nt
     nodes = grid.nodes()
     for i, orbit in enumerate(orbits):
         lam_true = math.sqrt(-potential.d2(maxima[i]))
@@ -414,16 +443,12 @@ def example_verify(k: int, potential: PotentialSpec, grid: GridSpec,
             gap = abs(pos - want)
             translate_residual = max(translate_residual, min(gap, 1.0 - gap))
         # (b) curvature along the orbit
-        curve = unstable_hessian_curve(model, orbit)
+        curve, fld = art.curves[i], art.fields[i]
         riccati_errors.append(abs(curve.lambda_i - lam_true))
-        fld = anchored_barrier(kernels, c, orbit.anchor.x, window=window,
-                               barrier_tol=barrier_tol, max_sweeps=max_sweeps,
-                               orbit_ref=i)
         rep = fd_crosscheck(fld, orbit, curve)
         fd_deviations.append(abs(rep.fd_value - lam_true) / lam_true)
         # (c) transport consistency against the autonomous field
-        afld = anchored_barrier(akernels, c_a, maxima[i], window=1,
-                                barrier_tol=barrier_tol, max_sweeps=max_sweeps)
+        afld = auto.barrier(maxima[i], window=1)
         for j in range(nt):
             t = j / nt
             y = (nodes + t / k) % 1.0

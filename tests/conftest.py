@@ -80,4 +80,4 @@ def bench_small_setup(bench_model):
 def bench_orbits(bench_model):
     from weakkam.dynamics import aubry_orbits
 
-    return aubry_orbits(bench_model, confirm=False)
+    return aubry_orbits(bench_model)

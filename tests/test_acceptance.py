@@ -58,7 +58,7 @@ def lambda_setup(bench):
     """Criteria 1 and 3 share the fine-grid barrier fields (nx=800)."""
     t0 = time.perf_counter()
     grid = GridSpec(800, 32)
-    orbits = aubry_orbits(bench, confirm=False)
+    orbits = aubry_orbits(bench)
     orbits.sort(key=lambda o: o.anchor.x)
     kernels = build_kernels(bench, grid)
     c = critical_value(kernels).c
@@ -209,7 +209,7 @@ def test_criterion_8_traveling_wave_example():
     tw = HamiltonianModel(family="traveling_wave", potential=V, wind=2)
     grid = GridSpec(400, 64)
     ex = example_verify(2, V, grid, shoot_tol=1e-5)
-    orbits = aubry_orbits(tw, shoot_tol=1e-5, confirm=False)
+    orbits = aubry_orbits(tw, shoot_tol=1e-5)
     rc = rescale_check(tw, orbits, grid, shoot_tol=1e-5)
     elapsed = time.perf_counter() - t0
     ric = max(ex.riccati_errors)
@@ -248,7 +248,7 @@ def test_criterion_9_stochastic_oracles(bench):
     c = critical_value(kernels).c
     fld = anchored_barrier(kernels, c, 0.5, window=1)
     drift = DriftField.from_barrier(bench, fld)
-    orbits = aubry_orbits(bench, confirm=False)
+    orbits = aubry_orbits(bench)
     sel = [o for o in orbits if abs(o.anchor.x - 0.5) < 1e-9][0]
     fw = exit_time_scaling(bench, sel, drift, [0.08, 0.04, 0.02], delta,
                            20000, kappa=20.0, dt=5e-4, seed=2024)

@@ -1,6 +1,9 @@
 import copy
+import importlib
+import inspect
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from weakkam.cli import config_hash, load_config, main, run_config, validate_config
 from weakkam.errors import ConfigError
+from weakkam.variational import GridSpec
 
 SMALL_MODEL = {
     "family": "mechanical",
@@ -134,6 +138,79 @@ def test_rescale_vacuous_pass(tmp_path):
 def test_example_requires_traveling_wave(tmp_path):
     path = write_config(tmp_path)
     assert run_config(str(path), "example") == 1
+
+
+def translated_terms(terms, shift):
+    """Trig terms of V(x + shift)."""
+    out = []
+    for k, c, s in terms:
+        a = 2 * math.pi * k * shift
+        out.append([k, c * math.cos(a) + s * math.sin(a), s * math.cos(a) - c * math.sin(a)])
+    return out
+
+
+def test_sweep_with_maxima_off_a_coarser_grid(tmp_path):
+    # V translated by 3/160 puts its maxima on nodes of the 160x32 grid but off
+    # those of 256x32, where Karp and power iteration disagree; orbits are
+    # confirmed on the config's own grid, so the sweep runs
+    model = {**SMALL_MODEL, "potential": {
+        "terms": translated_terms(SMALL_MODEL["potential"]["terms"], 3 / 160)}}
+    path = write_config(tmp_path, model=model, grid={"nx": 160, "nt": 32},
+                        sweep={"eps_list": [0.02, 0.01, 0.005]})
+    assert main(["--config", str(path), "--command", "sweep"]) == 0
+
+
+TRAVELING_WAVE = {"family": "traveling_wave", "wind": 2,
+                  "potential": {"terms": [[0, -0.5, 0.0], [2, 0.5, 0.0]]}}
+
+
+def test_every_stage_honours_max_sweeps(tmp_path, capsys):
+    path = write_config(tmp_path, model=TRAVELING_WAVE, grid={"nx": 32, "nt": 8},
+                        numerics={"shoot_tol": 1e-5, "max_sweeps": 5})
+    assert run_config(str(path), "rescale") == 1
+    assert "barrier iteration did not settle in 5 sweeps" in capsys.readouterr().err
+
+
+def test_numerics_seeds_is_not_an_option(tmp_path):
+    path = write_config(tmp_path, numerics={"seeds": [["a", 0]]})
+    assert run_config(str(path), "orbits") == 0
+
+
+SOLVERS = {"critical_value": "weakkam.variational", "solve_cell": "weakkam.viscous",
+           "anchored_barrier": "weakkam.variational"}
+
+
+def record_solver_calls(monkeypatch):
+    """{solver: [bound arguments of each call]}, through every weakkam binding."""
+    calls = {name: [] for name in SOLVERS}
+    for name, home in SOLVERS.items():
+        original = getattr(importlib.import_module(home), name)
+
+        def wrapper(*args, _name=name, _fn=original, **kwargs):
+            calls[_name].append(inspect.signature(_fn).bind(*args, **kwargs).arguments)
+            return _fn(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "weakkam":
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, wrapper)
+    return calls
+
+
+def test_all_builds_each_artifact_once(tmp_path, monkeypatch):
+    # the stochastic eps list shares its minimum with the sweep's; the
+    # mechanical model's rescale stage is vacuous and it has no example stage
+    path = write_config(tmp_path, stochastic={
+        "n_paths": 100, "dt": 5e-4, "delta": 0.1, "kappa": 1.0, "seed": 7,
+        "eps_list": [0.08, 0.04, 0.02]})
+    calls = record_solver_calls(monkeypatch)
+    assert run_config(str(path), "all") in (0, 2)
+    assert sorted(c["epsilon"] for c in calls["solve_cell"]) == [0.02, 0.03, 0.05]
+    assert [c["kernels"].grid for c in calls["critical_value"]] == [GridSpec(96, 8)]
+    barriers = calls["anchored_barrier"]
+    assert [c["kernels"].grid for c in barriers] == [GridSpec(96, 8)] * 2
+    assert sorted(c["anchor_x"] for c in barriers) == pytest.approx([0.0, 0.5], abs=1e-9)
 
 
 def test_out_flag_wins_over_config_directory(tmp_path):

@@ -7,6 +7,8 @@ from weakkam.dynamics import (PhasePoint, aubry_orbits, classify_orbit,
                               find_periodic_orbit, integrate, potential_maxima)
 from weakkam.errors import IntegrationError, WeakKamError
 from weakkam.model import HamiltonianModel, PotentialSpec, benchmark_potential
+from weakkam.variational import GridSpec
+from weakkam.vv_analysis import Artifacts
 
 TWO_PI = 2 * math.pi
 
@@ -143,13 +145,13 @@ def test_aubry_orbits_benchmark(bench_orbits):
 def test_aubry_orbits_single_maximum():
     V = PotentialSpec.from_terms([(0, -0.5, 0.0), (1, 0.5, 0.0)])
     m = HamiltonianModel(family="mechanical", potential=V)
-    orbits = aubry_orbits(m, confirm=False)
+    orbits = aubry_orbits(m)
     assert len(orbits) == 1
     assert orbits[0].anchor.x == pytest.approx(0.0, abs=1e-9)
 
 
 def test_aubry_orbits_traveling_wave(tw_model):
-    orbits = aubry_orbits(tw_model, shoot_tol=1e-5, confirm=False)
+    orbits = aubry_orbits(tw_model, shoot_tol=1e-5)
     assert len(orbits) == 1
     orb = orbits[0]
     assert orb.period == 2 and orb.winding == -1
@@ -158,14 +160,23 @@ def test_aubry_orbits_traveling_wave(tw_model):
 
 
 def test_aubry_orbits_with_confirmation(bench_model):
-    orbits = aubry_orbits(bench_model, confirm=True, confirm_grid=(128, 16))
-    assert len(orbits) == 2
+    # both maxima of the benchmark potential are at V = 0 and both are confirmed;
+    # a maximum below max V is a hyperbolic candidate off the Aubry set, and
+    # its own barrier diagonal (about 0.2 per period spent there) drops it
+    grid = GridSpec(128, 16)
+    assert len(Artifacts(bench_model, grid).orbits) == 2
+    V = PotentialSpec.from_terms([(0, -0.6, 0.0), (1, 0.1, 0.0), (2, 0.5, 0.0)])
+    m = HamiltonianModel(family="mechanical", potential=V)
+    assert sorted(o.anchor.x for o in aubry_orbits(m)) == pytest.approx([0.0, 0.5], abs=1e-9)
+    art = Artifacts(m, grid)
+    assert [o.anchor.x for o in art.orbits] == pytest.approx([0.0], abs=1e-9)
+    assert [f.orbit_ref for f in art.fields] == [0]
 
 
 def test_shifted_kinetic_rest_momentum():
     V = benchmark_potential()
     m = HamiltonianModel(family="shifted_kinetic", potential=V, momentum_shift=0.4)
-    orbits = aubry_orbits(m, confirm=False)
+    orbits = aubry_orbits(m)
     assert sorted(o.anchor.x for o in orbits) == pytest.approx([0.0, 0.5], abs=1e-9)
     for o in orbits:
         assert o.anchor.p == pytest.approx(-0.4, abs=1e-9)

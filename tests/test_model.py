@@ -8,7 +8,6 @@ from weakkam.errors import ConfigError
 from weakkam.model import (FAMILIES, MECHANICAL, SHIFTED_KINETIC, TRAVELING_WAVE,
                            HamiltonianModel, PotentialSpec, benchmark_potential,
                            model_from_config, verify_hypotheses)
-from weakkam.vv_analysis import RescaledModel
 
 RNG = np.random.default_rng(20240817)
 
@@ -193,15 +192,47 @@ JET_FIELDS = ("H", "H_p", "H_x", "H_t", "H_pp", "H_xp", "H_xx")
 
 
 @st.composite
-def trig_models(draw):
-    """A family, a random trig potential it admits, and possibly the N = 2 rescaling."""
+def base_models(draw):
+    """A family with random (b, e0, k) and a random trig potential it admits."""
     family = draw(st.sampled_from(FAMILIES))
-    wind = draw(st.sampled_from((1, 2))) if family == TRAVELING_WAVE else 1
-    freqs = draw(st.lists(st.sampled_from(range(0, 5, wind)), min_size=1, max_size=4))
+    wind = draw(st.sampled_from((1, 2, 3))) if family == TRAVELING_WAVE else 1
+    freqs = draw(st.lists(st.sampled_from(range(0, 7, wind)), min_size=1, max_size=4))
     terms = [(k, draw(COEFF), draw(COEFF)) for k in freqs]
-    model = HamiltonianModel(family=family, potential=PotentialSpec.from_terms(terms),
-                             momentum_shift=draw(COEFF), wind=wind)
-    return RescaledModel(model, 2) if draw(st.booleans()) else model
+    return HamiltonianModel(family=family, potential=PotentialSpec.from_terms(terms),
+                            momentum_shift=draw(COEFF), wind=wind)
+
+
+@st.composite
+def trig_models(draw):
+    """A random base model, rescaled by N in {1, 2, 3}."""
+    return draw(base_models()).rescaled(draw(st.sampled_from((1, 2, 3))))
+
+
+def close(a, b):
+    return a == pytest.approx(b, rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=base_models(), N=st.sampled_from((1, 2, 3)), x=st.floats(-1.0, 2.0),
+       p=st.floats(-5.0, 5.0), t=st.floats(-1.0, 3.0))
+def test_one_form_duality_and_rescaling(base, N, x, p, t):
+    # Fenchel duality H(x, p, t) + L(x, H_p, t) = p H_p on the rescaled form;
+    # H_N(x, p, t) = H(x, Np, Nt), its jet by the chain rule, and the dual
+    # L_N(x, v, t) = L(x, v/N, Nt) with L_N,v = L_v / N
+    model = base.rescaled(N)
+    jet = model.jet(x, p, t)
+    lval, lv = model.lagrangian(x, jet.H_p, t)
+    assert close(float(model.hamiltonian(x, p, t) + lval), p * jet.H_p)
+    assert close(float(lv), p)
+    assert close(float(model.hamiltonian(x, p, t)), float(base.hamiltonian(x, N * p, N * t)))
+    lval, lv = model.lagrangian(x, p, t)
+    base_l, base_lv = base.lagrangian(x, p / N, N * t)
+    assert close(float(lval), float(base_l))
+    assert close(float(lv), float(base_lv) / N)
+    ref = base.jet(x, N * p, N * t)
+    chain = {"H": 1, "H_p": N, "H_x": 1, "H_t": N, "H_pp": N * N, "H_xp": N, "H_xx": 1}
+    for name, factor in chain.items():
+        assert close(getattr(jet, name), factor * getattr(ref, name)), name
 
 
 @settings(max_examples=200, deadline=None)

@@ -75,7 +75,7 @@ def test_lambda_averages_tie_symmetric_double_well():
     m = HamiltonianModel(family="mechanical", potential=V)
     from weakkam.dynamics import aubry_orbits
 
-    orbits = aubry_orbits(m, confirm=False)
+    orbits = aubry_orbits(m)
     curves = [unstable_hessian_curve(m, o, orbit_ref=i)
               for i, o in enumerate(orbits)]
     rep = lambda_averages(curves)

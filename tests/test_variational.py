@@ -218,7 +218,7 @@ def test_traveling_wave_diagonal_on_orbit(tw_model):
     grid = GridSpec(256, 32)
     kernels = build_kernels(tw_model, grid)
     c = critical_value(kernels).c
-    orbits = aubry_orbits(tw_model, shoot_tol=1e-5, confirm=False)
+    orbits = aubry_orbits(tw_model, shoot_tol=1e-5)
     fld = anchored_barrier(kernels, c, orbits[0].anchor.x, window=2)
     residuals = aubry_verify([fld], orbits, aubry_tol=0.02)
     assert residuals[0].ok

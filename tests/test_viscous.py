@@ -145,3 +145,22 @@ def test_gradient_beyond_lip_cap_is_rejected(bench_model):
     assert solve_cell(bench_model, 0.02, grid, lip_cap=1.5).lip_x <= 1.5
     with pytest.raises(NumericalQualityError, match=r"lip_x=1\.3.*lip_cap=0\.5"):
         solve_cell(bench_model, 0.02, grid, lip_cap=0.5)
+
+
+def test_rescaled_model_marches_the_rescaled_cell_problem(tw_model):
+    # phi_N(x, t) = phi(x, N t)/N solves the cell problem of H_N(x, p, t) =
+    # H(x, Np, Nt) at viscosity N eps with the same c: N^2 q^2/2 in the step
+    # and N^2 in the CFL bound.  At 128x8 the time step is set by diffusion,
+    # so both marches take the same steps and agree to rounding.
+    N, eps = 2, 0.05
+    rmodel = tw_model.rescaled(N)
+    sol = solve_cell(tw_model, eps, GridSpec(128, 8))
+    rsol = solve_cell(rmodel, N * eps, GridSpec(128, 8 * N))
+    assert rsol.m_sub == sol.m_sub
+    assert rsol.c_eps == pytest.approx(sol.c_eps, abs=1e-9)
+    np.testing.assert_allclose(rsol.phi, sol.phi[:, np.arange(8 * N) % 8] / N, atol=1e-9)
+    # at 64 nodes transport sets the step: ds |H_p| <= 0.45 dx for every
+    # |H_p| = m |p + b| the capped gradients allow
+    coarse = solve_cell(rmodel, N * eps, GridSpec(64, 8 * N))
+    h_p_max = rmodel.mass * (coarse.lip_cap + abs(rmodel.momentum_offset))
+    assert coarse.ds * h_p_max <= 0.45 * coarse.grid.dx
