@@ -43,9 +43,36 @@ DEFAULT_NUMERICS = {
 }
 
 
+# the keys each config block may carry, by dotted path ("" is the top level)
+CONFIG_KEYS = {
+    "": ("model", "grid", "numerics", "sweep", "stochastic", "output"),
+    "model": ("family", "potential", "momentum_shift", "wind", "growth_constant"),
+    "model.potential": ("terms",),
+    "grid": ("nx", "nt"),
+    "numerics": tuple(DEFAULT_NUMERICS),
+    "sweep": ("eps_list",),
+    "stochastic": ("n_paths", "dt", "delta", "kappa", "seed", "eps_list"),
+    "output": ("directory", "formats"),
+}
+OUTPUT_FORMATS = ("json", "csv")
+
+
 def _require(cond, message, field):
     if not cond:
         raise ConfigError(message, field=field)
+
+
+def _block(cfg, name):
+    """Config block ``name``, or {} when absent, checked to be a JSON object
+    with no key outside ``CONFIG_KEYS[name]``."""
+    block = cfg
+    for key in filter(None, name.split(".")):
+        block = block.get(key, {})
+    _require(isinstance(block, dict), f"{name or 'config'} must be a JSON object", name)
+    for key in block:
+        field = f"{name}.{key}" if name else key
+        _require(key in CONFIG_KEYS[name], f"unknown config key {field}", field)
+    return block
 
 
 def _number_field(block, key, prefix, integer=False, least=None):
@@ -68,38 +95,35 @@ def _eps_list(values, field):
 
 def validate_config(cfg: dict) -> dict:
     """Schema checks; raises ConfigError naming the offending field path."""
-    _require(isinstance(cfg, dict), "config must be a JSON object", "")
-    _require("model" in cfg, "missing model block", "model")
-    _require("grid" in cfg, "missing grid block", "grid")
+    _block(cfg, "")
+    for name in ("model", "grid"):
+        _require(name in cfg, f"missing {name} block", name)
+    _block(cfg, "model")
+    _block(cfg, "model.potential")
     model_from_config(cfg["model"])
-    grid = cfg["grid"]
-    _require(isinstance(grid, dict) and "nx" in grid and "nt" in grid,
-             "grid block must carry nx and nt", "grid")
+    grid = _block(cfg, "grid")
+    _require("nx" in grid and "nt" in grid, "grid block must carry nx and nt", "grid")
     _number_field(grid, "nx", "grid", integer=True, least=2)
     _number_field(grid, "nt", "grid", integer=True)
-    _require(isinstance(cfg.get("numerics", {}), dict), "numerics must be an object",
-             "numerics")
-    numerics = {**DEFAULT_NUMERICS, **cfg.get("numerics", {})}
-    for key in ("vmax", "cell_tol", "barrier_tol", "shoot_tol", "slope_tol",
-                "grid_tol", "aubry_tol", "lip_cap"):
-        _number_field(numerics, key, "numerics")
-    for key in ("max_sweeps", "max_periods"):
-        _number_field(numerics, key, "numerics", integer=True)
-    sweep_block = cfg.get("sweep", {})
-    _require(isinstance(sweep_block, dict), "sweep must be an object", "sweep")
-    eps_list = sweep_block.get("eps_list", [])
+    numerics = {**DEFAULT_NUMERICS, **_block(cfg, "numerics")}
+    for key, default in DEFAULT_NUMERICS.items():
+        _number_field(numerics, key, "numerics", integer=isinstance(default, int))
+    eps_list = _block(cfg, "sweep").get("eps_list", [])
     _eps_list(eps_list, "sweep.eps_list")
-    stoch = cfg.get("stochastic", {})
-    _require(isinstance(stoch, dict), "stochastic must be an object", "stochastic")
+    stoch = _block(cfg, "stochastic")
     if stoch:
         for key in ("n_paths", "dt", "delta", "kappa"):
             _require(key in stoch, f"stochastic.{key} missing", f"stochastic.{key}")
-        _number_field(stoch, "n_paths", "stochastic", integer=True)
-        for key in ("dt", "delta", "kappa"):
-            _number_field(stoch, key, "stochastic")
+            _number_field(stoch, key, "stochastic", integer=key == "n_paths")
         if "seed" in stoch:
             _number_field(stoch, "seed", "stochastic", integer=True, least=0)
         _eps_list(stoch.get("eps_list", eps_list), "stochastic.eps_list")
+    output = _block(cfg, "output")
+    _require(isinstance(output.get("directory", ""), str),
+             "output.directory must be a string", "output.directory")
+    formats = output.get("formats", [])
+    _require(isinstance(formats, list) and all(f in OUTPUT_FORMATS for f in formats),
+             f"output.formats must be a list of {OUTPUT_FORMATS}", "output.formats")
     cfg = dict(cfg)
     cfg["numerics"] = numerics
     return cfg
@@ -139,7 +163,7 @@ def emit_reports(results: dict, command: str, cfg: dict, out_dir: str,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tag = f"{command}_{config_hash(cfg)}"
-    formats = cfg.get("output", {}).get("formats", ["json", "csv"])
+    formats = cfg.get("output", {}).get("formats", OUTPUT_FORMATS)
     written = []
     if "json" in formats:
         payload = {
@@ -167,7 +191,8 @@ def emit_reports(results: dict, command: str, cfg: dict, out_dir: str,
 
 
 class _Pipeline(Artifacts):
-    """Stage runner over one run's artifacts, each built once (see ``Artifacts``)."""
+    """Stage runner: the config's ``Artifacts``, which every stage reads and the
+    analysis stages hand to ``sweep``, ``rescale_check`` and ``example_verify``."""
 
     def __init__(self, cfg: dict):
         self.cfg = cfg
@@ -203,7 +228,8 @@ class _Pipeline(Artifacts):
         cv = self.critical
         results = {"c": cv.c, "c_karp": cv.c_karp, "c_power": cv.c_power,
                    "agreement": cv.agreement, "exact_regime": cv.exact_regime}
-        return results, {}, cv.agreement <= 1e-6
+        # critical_value raises when Karp and power iteration disagree
+        return results, {}, True
 
     def stage_barrier(self):
         fields = self.fields
@@ -261,8 +287,8 @@ class _Pipeline(Artifacts):
         _require(len(eps_list) >= 3, "sweep needs >= 3 viscosities",
                  "sweep.eps_list")
         rep = self._timed("sweep", lambda: sweep(
-            self.model, eps_list, self.grid, grid_tol=self.numerics["grid_tol"],
-            aubry_tol=self.numerics["aubry_tol"], artifacts=self))
+            self, eps_list, grid_tol=self.numerics["grid_tol"],
+            aubry_tol=self.numerics["aubry_tol"]))
         verdict = slope_fit(rep, slope_tol=self.numerics["slope_tol"])
         trend_ok = all(b <= a * 1.10 for a, b in
                        zip(rep.limit_errors, rep.limit_errors[1:]))
@@ -294,10 +320,9 @@ class _Pipeline(Artifacts):
         return results, tables, ok
 
     def stage_rescale(self):
-        rep = self._timed("rescale", lambda: rescale_check(
-            self.model, self.orbits, self.grid, vmax=self.vmax,
-            barrier_tol=self.barrier_tol, shoot_tol=max(self.shoot_tol, 1e-5),
-            max_sweeps=self.max_sweeps))
+        # rescale_check reads the orbits and c(0) itself, so building them,
+        # when no earlier stage has, is timed with this stage
+        rep = self._timed("rescale", lambda: rescale_check(self))
         results = {
             "N": rep.N, "vacuous": rep.vacuous,
             "barrier_identity_error": rep.barrier_identity_error,
@@ -309,8 +334,7 @@ class _Pipeline(Artifacts):
     def stage_example(self):
         _require(self.model.family == "traveling_wave",
                  "example stage needs a traveling_wave model", "model.family")
-        rep = self._timed("example", lambda: example_verify(
-            self.model.wind, self.model.potential, self.grid, artifacts=self))
+        rep = self._timed("example", lambda: example_verify(self))
         results = {
             "k": rep.k, "maxima": rep.maxima,
             "orbit_count_ok": rep.orbit_count_ok,
@@ -418,7 +442,6 @@ def run_config(path: str, command: str, out_dir: str | None = None,
 
     pipe = _Pipeline(cfg)
     overall_ok = True
-    status = 0
     for name in names:
         try:
             results, tables, ok = pipe.STAGES[name](pipe)
@@ -432,9 +455,7 @@ def run_config(path: str, command: str, out_dir: str | None = None,
         files = emit_reports(results, name, cfg, out_dir, pipe.wall, tables)
         overall_ok = overall_ok and ok
         print(f"[{name}] {'PASS' if ok else 'FAIL'} -> {', '.join(files) or '(no files)'}")
-    if not overall_ok:
-        status = 2
-    return status
+    return 0 if overall_ok else 2
 
 
 def main(argv=None) -> int:

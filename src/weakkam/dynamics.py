@@ -27,7 +27,9 @@ from scipy.optimize import brentq
 from .errors import IntegrationError, NumericalQualityError, OrbitNotFoundError, WeakKamError
 from .model import HamiltonianModel
 
-DEFAULT_MAX_STEP = 1e-3
+MAX_STEP = 1e-3       # largest RK4 step
+MAX_NEWTON = 25       # Newton iterations of the shooting
+SCAN_POINTS = 4096    # sign scan of V' for the potential's maxima
 
 
 @dataclass(frozen=True)
@@ -110,16 +112,16 @@ def _stage(J, A, c):
 
 
 def integrate(model: HamiltonianModel, start: PhasePoint, duration: float,
-              steps: int | None = None, with_variational: bool = False,
-              max_step: float = DEFAULT_MAX_STEP) -> Trajectory:
+              steps: int | None = None, with_variational: bool = False) -> Trajectory:
     """RK4 integration of the Hamiltonian flow from ``start`` over ``duration``.
 
-    The variational flow, when requested, is advanced with the same RK4 stages
+    ``steps`` defaults to the fewest steps no longer than ``MAX_STEP``.  The
+    variational flow, when requested, is advanced with the same RK4 stages
     so the fundamental matrix is consistent with the trajectory to the same
     order.  Raises IntegrationError on non-finite state.
     """
     if steps is None:
-        steps = max(1, int(math.ceil(abs(duration) / max_step)))
+        steps = max(1, int(math.ceil(abs(duration) / MAX_STEP)))
     h = duration / steps
     times = start.t + h * np.arange(steps + 1)
     x, p = float(start.x), float(start.p)
@@ -162,24 +164,21 @@ def integrate(model: HamiltonianModel, start: PhasePoint, duration: float,
 
 
 def find_periodic_orbit(model: HamiltonianModel, seed: PhasePoint, period: int,
-                        winding: int = 0, shoot_tol: float = 1e-10,
-                        max_newton: int = 25, segments_per_unit: int = 8,
-                        max_step: float = DEFAULT_MAX_STEP,
-                        hyperbolicity_margin: float = 0.1) -> PeriodicOrbit:
+                        winding: int = 0, shoot_tol: float = 1e-10) -> PeriodicOrbit:
     """Newton shooting for an orbit of integer ``period`` and spatial ``winding``.
 
     The corrected quantity is the time-N return-map residual
     (x(N) - x(0) - winding, p(N) - p(0)) on the lift.  The Newton system is
-    condensed from a multiple-shooting split of the period: strong
-    hyperbolicity makes the single-segment return map's Newton basin
-    impractically small, while the split keeps each segment's amplification
-    moderate without changing the converged orbit.
+    condensed from a multiple-shooting split of the period, eight segments
+    per unit time: strong hyperbolicity makes the single-segment return
+    map's Newton basin impractically small, while the split keeps each
+    segment's amplification moderate without changing the converged orbit.
     """
     if period < 1:
         raise WeakKamError("orbit period must be a positive integer")
-    n_seg = max(1, segments_per_unit) * period
+    n_seg = 8 * period
     seg_len = period / n_seg
-    seg_steps = max(1, int(math.ceil(seg_len / max_step)))
+    seg_steps = max(1, int(math.ceil(seg_len / MAX_STEP)))
     target = np.array([float(winding), 0.0])
 
     # initial segment states along the uniform-drift predictor; following the
@@ -192,7 +191,7 @@ def find_periodic_orbit(model: HamiltonianModel, seed: PhasePoint, period: int,
 
     internal_tol = min(shoot_tol, 1e-12)
     iterations = 0
-    for iteration in range(max_newton + 1):
+    for iteration in range(MAX_NEWTON + 1):
         iterations = iteration
         ends = np.empty((n_seg, 2))
         mats = np.empty((n_seg, 2, 2))
@@ -207,9 +206,9 @@ def find_periodic_orbit(model: HamiltonianModel, seed: PhasePoint, period: int,
         residual = float(np.max(np.abs(res)))
         if residual <= internal_tol:
             break
-        if iteration == max_newton:
+        if iteration == MAX_NEWTON:
             raise OrbitNotFoundError(
-                f"Newton shooting did not converge in {max_newton} iterations",
+                f"Newton shooting did not converge in {MAX_NEWTON} iterations",
                 residual=residual)
         # condense: dz_{i+1} = M_i dz_i + r_i, closure (A - I) dz_0 = -b
         A = np.eye(2)
@@ -232,7 +231,7 @@ def find_periodic_orbit(model: HamiltonianModel, seed: PhasePoint, period: int,
                                      residual=residual)
 
     # verification pass: one whole period from z_0 with the tangent flow
-    steps = max(int(math.ceil(period / max_step)), n_seg * seg_steps)
+    steps = max(int(math.ceil(period / MAX_STEP)), n_seg * seg_steps)
     traj = integrate(model, PhasePoint(Z[0][0], Z[0][1], 0.0), float(period),
                      steps=steps, with_variational=True)
     r = np.array(traj.end) - Z[0] - target
@@ -256,20 +255,20 @@ def find_periodic_orbit(model: HamiltonianModel, seed: PhasePoint, period: int,
         det_product=traj.det_product,
         newton_iterations=iterations,
     )
-    return classify_orbit(model, orbit, hyperbolicity_margin=hyperbolicity_margin)
+    return classify_orbit(model, orbit)
 
 
-def classify_orbit(model: HamiltonianModel, orbit: PeriodicOrbit,
-                   hyperbolicity_margin: float = 0.1,
-                   det_tol: float = 1e-6) -> PeriodicOrbit:
+def classify_orbit(model: HamiltonianModel, orbit: PeriodicOrbit) -> PeriodicOrbit:
     """Attach Floquet exponents and the hyperbolicity flag; check symplecticity.
 
-    The determinant check uses the accumulated product of per-step transition
-    determinants: for strongly expanding orbits det(monodromy) evaluated from
-    the final matrix alone loses all significance to cancellation.
+    The orbit is hyperbolic when every multiplier lies more than 0.1 off the
+    unit circle, and det(monodromy) must be 1 to 1e-6.  The determinant check
+    uses the accumulated product of per-step transition determinants: for
+    strongly expanding orbits det(monodromy) evaluated from the final matrix
+    alone loses all significance to cancellation.
     """
     det = orbit.det_product
-    if abs(det - 1.0) > det_tol:
+    if abs(det - 1.0) > 1e-6:
         raise NumericalQualityError(
             f"monodromy determinant drifted from 1 by {abs(det - 1.0):.3e}")
     mult = np.linalg.eigvals(orbit.monodromy).astype(complex)
@@ -280,7 +279,7 @@ def classify_orbit(model: HamiltonianModel, orbit: PeriodicOrbit,
         # raw matrix loses all digits once the expanding one is large
         mult[1] = det / mult[0]
     exponents = np.log(mult) / orbit.period
-    hyperbolic = bool(np.all(np.abs(np.abs(mult) - 1.0) > hyperbolicity_margin))
+    hyperbolic = bool(np.all(np.abs(np.abs(mult) - 1.0) > 0.1))
     return replace(orbit, floquet_exponents=exponents, hyperbolic=hyperbolic)
 
 
@@ -292,19 +291,19 @@ def orbit_window(orbits: list[PeriodicOrbit]) -> int:
     return window
 
 
-def potential_maxima(model: HamiltonianModel, n_scan: int = 4096) -> list[float]:
+def potential_maxima(model: HamiltonianModel) -> list[float]:
     """Nondegenerate maxima of the potential in [0, 1/k) via sign changes of V'."""
     cell = 1.0 / model.cells
-    xs = np.linspace(0.0, cell, n_scan, endpoint=False)
+    xs = np.linspace(0.0, cell, SCAN_POINTS, endpoint=False)
     d1 = model.potential.d1(xs)
     maxima = []
-    for i in range(n_scan):
+    for i in range(SCAN_POINTS):
         # the sign test reads both ends from the one vectorised sample
         # (V'(cell) = V'(0)); at a root lying on a scan point the scalar V'
         # that brentq evaluates can differ from it in sign, and the root is
         # then the end where the scalar |V'| is smaller
-        a, b = xs[i], xs[i + 1] if i + 1 < n_scan else cell
-        fa, fb = d1[i], d1[(i + 1) % n_scan]
+        a, b = xs[i], xs[i + 1] if i + 1 < SCAN_POINTS else cell
+        fa, fb = d1[i], d1[(i + 1) % SCAN_POINTS]
         if fa == 0.0:
             root = float(a)
         elif fa * fb < 0.0:
@@ -322,9 +321,7 @@ def potential_maxima(model: HamiltonianModel, n_scan: int = 4096) -> list[float]
     return sorted(maxima)
 
 
-def aubry_orbits(model: HamiltonianModel, shoot_tol: float = 1e-10,
-                 max_step: float = DEFAULT_MAX_STEP,
-                 hyperbolicity_margin: float = 0.1) -> list[PeriodicOrbit]:
+def aubry_orbits(model: HamiltonianModel, shoot_tol: float = 1e-10) -> list[PeriodicOrbit]:
     """Candidate orbits of the projected Aubry set, one per maximum of the cell.
 
     In the frame moving with V (x + w t fixed) each orbit rests at a
@@ -340,19 +337,16 @@ def aubry_orbits(model: HamiltonianModel, shoot_tol: float = 1e-10,
     for xm in potential_maxima(model):
         try:
             orbit = find_periodic_orbit(model, PhasePoint(xm, p_rest, 0.0), model.cells,
-                                        winding, shoot_tol=shoot_tol, max_step=max_step,
-                                        hyperbolicity_margin=hyperbolicity_margin)
+                                        winding, shoot_tol=shoot_tol)
         except (OrbitNotFoundError, IntegrationError):
             continue
-        duplicate = False
-        for kept in orbits:
+        for n, kept in enumerate(orbits):
             if abs(kept.anchor.x - orbit.anchor.x) < 1e-6 and \
                abs(kept.anchor.p - orbit.anchor.p) < 1e-6:
-                duplicate = True
                 if orbit.residual < kept.residual:
-                    orbits[orbits.index(kept)] = orbit
+                    orbits[n] = orbit
                 break
-        if not duplicate:
+        else:
             orbits.append(orbit)
     if not orbits:
         raise WeakKamError("no Aubry orbit candidates survived")

@@ -134,10 +134,9 @@ class PotentialSpec:
     def d2(self, x):
         return self.derivative(x, 2)
 
-    def min_on_grid(self, n: int = 8192) -> float:
-        """Minimum of V over a dense uniform sample of the circle."""
-        xs = np.arange(n) / n
-        return float(np.min(self.value(xs)))
+    def min_on_grid(self) -> float:
+        """Minimum of V over 8192 uniform samples of the circle."""
+        return float(np.min(self.value(np.arange(8192) / 8192)))
 
     def is_subperiodic(self, k: int) -> bool:
         """True when every active frequency is a multiple of k (V is 1/k-periodic)."""
@@ -280,20 +279,19 @@ class HypothesisReport:
         return self.convexity_ok and self.growth_ok and self.periodicity_ok
 
 
-def verify_hypotheses(model: HamiltonianModel, n_x: int = 128, n_p: int = 64,
-                      n_t: int = 32, band: tuple[float, float] = (1.0, 3.0),
-                      period_tol: float = 1e-12) -> HypothesisReport:
-    """Check the standing hypotheses on a sample lattice.
+def verify_hypotheses(model: HamiltonianModel) -> HypothesisReport:
+    """Check the standing hypotheses on a 128 x 32 (x, t) sample lattice.
 
     The growth inequality (H_p.p - H + inf H(.,0,.)) K - |H_x| >= 0 is sampled
-    for |p| in [band[0]*K, band[1]*K]; the unbounded tail is structural for
-    quadratic kinetic energy and is not sampled.
+    at 64 values of |p| in [K, 3K]; the unbounded tail is structural for
+    quadratic kinetic energy and is not sampled.  Periodicity must hold to
+    1e-12.
     """
     K = model.growth_constant
-    xs = np.arange(n_x) / n_x
-    ts = np.arange(n_t) / n_t
-    ps = np.concatenate([np.linspace(band[0] * K, band[1] * K, n_p),
-                         -np.linspace(band[0] * K, band[1] * K, n_p)])
+    xs = np.arange(128) / 128
+    ts = np.arange(32) / 32
+    band = np.linspace(K, 3.0 * K, 64)
+    ps = np.concatenate([band, -band])
 
     xg, tg = np.meshgrid(xs, ts, indexing="ij")
     h0 = model.hamiltonian(xg, np.zeros_like(xg), tg)
@@ -327,7 +325,7 @@ def verify_hypotheses(model: HamiltonianModel, n_x: int = 128, n_p: int = 64,
         cell_period_residual=res_cell,
         convexity_ok=min_hpp >= model.convexity_floor,
         growth_ok=growth_min >= -1e-12,
-        periodicity_ok=max(res_space, res_time, res_cell) <= period_tol,
+        periodicity_ok=max(res_space, res_time, res_cell) <= 1e-12,
     )
 
 

@@ -18,6 +18,7 @@ from .errors import DegenerateGraphError, WeakKamError
 from .dynamics import PeriodicOrbit
 
 TRANSVERSALITY_FLOOR = 1e-8
+FD_BASE_STEP = 2     # cells each side of the base stencil of fd_crosscheck
 
 
 @dataclass
@@ -82,13 +83,13 @@ class LambdaReport:
     tie_tol: float
 
 
-def lambda_averages(curves: list[HessianCurve], tie_tol_rel: float = 1e-4) -> LambdaReport:
-    """Minimum averaged Laplacian over orbits and the (tie-tolerant) argmin set."""
+def lambda_averages(curves: list[HessianCurve]) -> LambdaReport:
+    """Minimum averaged Laplacian over orbits and the argmin set, ties to 1e-4 relative."""
     if not curves:
         raise WeakKamError("lambda_averages needs at least one Hessian curve")
     lams = [float(c.lambda_i) for c in curves]
     lam_bar = min(lams)
-    tol = tie_tol_rel * abs(lam_bar)
+    tol = 1e-4 * abs(lam_bar)
     argmin = [i for i, lam in enumerate(lams) if lam <= lam_bar + tol]
     return LambdaReport(lambdas=lams, lambda_bar=lam_bar, argmin=argmin, tie_tol=tol)
 
@@ -102,23 +103,20 @@ class FdReport:
     table: list  # (step_cells, fd, deviation) per trial step
 
 
-def fd_crosscheck(field, orbit: PeriodicOrbit, curve: HessianCurve,
-                  base_step: int = 2, plateau_rtol: float = 0.02,
-                  max_step: int | None = None) -> FdReport:
+def fd_crosscheck(field, orbit: PeriodicOrbit, curve: HessianCurve) -> FdReport:
     """Second central difference of the barrier along the orbit vs lambda_i.
 
-    The base stencil is +-``base_step`` cells.  Near the anchor the discrete
+    The base stencil is +-``FD_BASE_STEP`` cells.  Near the anchor the discrete
     field carries a velocity-quantization kink of width ~nt/lambda cells; when
     the base stencil sits inside it (detected by disagreement with the doubled
-    stencil) the stencil is widened until consecutive doublings agree, and the
-    report flags the widening.
+    stencil) the stencil is widened, up to nx/8 cells, until consecutive
+    doublings agree to 2 %, and the report flags the widening.
     """
     nx, nt = field.grid.nx, field.grid.nt
     dxg = field.grid.dx
-    if max_step is None:
-        max_step = max(base_step, nx // 8)
+    max_step = max(FD_BASE_STEP, nx // 8)
     steps = []
-    s = base_step
+    s = FD_BASE_STEP
     while s <= max_step:
         steps.append(s)
         s *= 2
@@ -141,10 +139,10 @@ def fd_crosscheck(field, orbit: PeriodicOrbit, curve: HessianCurve,
     chosen = len(table) - 1
     for k in range(len(table) - 1):
         a, b = table[k][1], table[k + 1][1]
-        if abs(a - b) <= plateau_rtol * max(abs(b), 1e-30):
+        if abs(a - b) <= 0.02 * max(abs(b), 1e-30):
             chosen = k
             break
     step_cells, fd_value, deviation = table[chosen]
     return FdReport(deviation=float(deviation), fd_value=float(fd_value),
-                    step_cells=int(step_cells), widened=step_cells > base_step,
+                    step_cells=int(step_cells), widened=step_cells > FD_BASE_STEP,
                     table=table)

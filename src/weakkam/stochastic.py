@@ -61,11 +61,11 @@ class DriftField:
         return cls._from_profile(OPTIMAL_FROM_VISCOUS, model, sol.grid, sol.phi)
 
     @classmethod
-    def from_barrier(cls, model, fld: BarrierField, smooth_passes: int = 2) -> "DriftField":
-        """Drift of the descending barrier profile -h, lightly mollified in x."""
+    def from_barrier(cls, model, fld: BarrierField) -> "DriftField":
+        """Drift of the descending barrier profile -h, smoothed in x by two binomial passes."""
         h = fld.h.copy()
         kernel = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
-        for _ in range(smooth_passes):
+        for _ in range(2):
             acc = np.zeros_like(h)
             for k, w in zip(range(-2, 3), kernel):
                 acc += w * np.roll(h, k, axis=0)
@@ -246,8 +246,7 @@ class FwReport:
 
 
 def exit_time_scaling(model, center, drift: DriftField, eps_list, delta: float,
-                      n_paths: int, kappa: float, dt: float, seed: int,
-                      capped_cap: float = 0.5) -> FwReport:
+                      n_paths: int, kappa: float, dt: float, seed: int) -> FwReport:
     """Freidlin-Wentzell diagnostics: eps log E(tau ^ kappa) across eps.
 
     Each eps also runs a zero-drift ensemble in the same tube (same center,
@@ -259,8 +258,8 @@ def exit_time_scaling(model, center, drift: DriftField, eps_list, delta: float,
     largely cancels; it equals 1 exactly when the drift is zero.  Around a
     hyperbolic orbit with exponent lambda both eps log E tau and the ratio
     tend to the barrier lambda delta^2/2 > 0 as eps -> 0, but eps log E tau
-    can stay negative down to small eps.  A capped fraction above
-    ``capped_cap`` at the largest eps flags kappa as too small.
+    can stay negative down to small eps.  A capped fraction above one half
+    at the largest eps flags kappa as too small.
     """
     eps_arr = [float(e) for e in eps_list]
     records = []
@@ -278,7 +277,7 @@ def exit_time_scaling(model, center, drift: DriftField, eps_list, delta: float,
                        mean_tau_free=free.mean_tau,
                        eps_log_ratio=eps * math.log(max(mean, 1e-300) / free.mean_tau))
         records.append(rec)
-    if records and records[0].capped_fraction > capped_cap:
+    if records and records[0].capped_fraction > 0.5:
         raise ConfigError(
             f"kappa too small: {records[0].capped_fraction:.0%} of paths capped "
             f"at the largest viscosity", field="stochastic.kappa")

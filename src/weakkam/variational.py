@@ -28,6 +28,10 @@ import numpy as np
 from .errors import ConfigError, ConvergenceError, NumericalQualityError, WeakKamError
 
 INF = np.inf
+ROW_CHUNK = 16            # rows per block of a dense (min,+) product
+POWER_MAX_ITERS = 4000    # power iterations before the Cesaro fallback
+POWER_MAX_PERIOD = 128    # longest eventual period the power iteration detects
+AGREEMENT_TOL = 1e-6      # largest Karp - power gap critical_value accepts
 
 
 @dataclass(frozen=True)
@@ -116,13 +120,13 @@ def _dense_from_kernel(cost: np.ndarray, offsets: np.ndarray, nx: int) -> np.nda
     return W
 
 
-def _minplus_product(A: np.ndarray, B: np.ndarray, row_chunk: int = 16) -> np.ndarray:
+def _minplus_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """(min,+) matrix product with bounded temporaries."""
     n = A.shape[0]
     out = np.empty((n, n))
     with np.errstate(invalid="ignore"):
-        for lo in range(0, n, row_chunk):
-            hi = min(lo + row_chunk, n)
+        for lo in range(0, n, ROW_CHUNK):
+            hi = min(lo + ROW_CHUNK, n)
             out[lo:hi] = np.min(A[lo:hi, :, None] + B[None, :, :], axis=1)
     return out
 
@@ -193,43 +197,43 @@ def _karp_min_mean(W: np.ndarray) -> float:
     return float(np.min(per_node))
 
 
-def _power_min_mean(W: np.ndarray, max_iters: int, sigma_max: int = 128,
-                    check_every: int = 4, tol: float = 1e-10):
+def _power_min_mean(W: np.ndarray):
     """Min-plus power iteration; detects the exact eventually-periodic regime.
 
-    Returns (mean, cycle_length, iterations, exact) where exact=False marks
-    the Cesaro fallback.
+    Every 4 iterations it looks for a period sigma <= POWER_MAX_PERIOD over
+    which the iterate moves by a constant (to 1e-10 relative).  Returns
+    (mean, cycle_length, iterations, exact) where exact=False marks the
+    Cesaro fallback after POWER_MAX_ITERS iterations.
     """
     nx = W.shape[0]
-    sigma_max = min(sigma_max, max_iters - 1)
+    sigma_max = POWER_MAX_PERIOD
     hist = np.zeros((sigma_max + 1, nx))
     v = np.zeros(nx)
     hist[0] = v
-    for n in range(1, max_iters + 1):
+    for n in range(1, POWER_MAX_ITERS + 1):
         v = np.min(W + v[None, :], axis=1)
         hist[n % (sigma_max + 1)] = v
-        if n >= sigma_max and n % check_every == 0:
+        if n >= sigma_max and n % 4 == 0:
             scale = max(1.0, float(np.max(np.abs(v))))
             for sigma in range(1, sigma_max + 1):
                 r = v - hist[(n - sigma) % (sigma_max + 1)]
-                if float(np.ptp(r)) <= tol * scale:
+                if float(np.ptp(r)) <= 1e-10 * scale:
                     return float(np.mean(r)) / sigma, sigma, n, True
     # Cesaro fallback over the longest available stride
     r = v - hist[(n - sigma_max) % (sigma_max + 1)]
     return float(np.mean(r)) / sigma_max, sigma_max, n, False
 
 
-def critical_value(kernels: ActionKernelSet, power_max_iters: int = 4000,
-                   agreement_tol: float = 1e-6) -> CriticalValueResult:
+def critical_value(kernels: ActionKernelSet) -> CriticalValueResult:
     """Critical value c = -(minimum mean cycle) of the one-period composed graph.
 
     Karp's algorithm and min-plus power iteration must agree within
-    ``agreement_tol``; disagreement raises NumericalQualityError.
+    ``AGREEMENT_TOL``; disagreement raises NumericalQualityError.
     """
     W = compose_period(kernels)
     lam_karp = _karp_min_mean(W)
-    lam_power, sigma, iters, exact = _power_min_mean(W, power_max_iters)
-    if abs(lam_karp - lam_power) > agreement_tol:
+    lam_power, sigma, iters, exact = _power_min_mean(W)
+    if abs(lam_karp - lam_power) > AGREEMENT_TOL:
         raise NumericalQualityError(
             f"critical value estimates disagree: Karp {-lam_karp:.9g} vs "
             f"power iteration {-lam_power:.9g}")
@@ -272,12 +276,13 @@ class BarrierField:
 def anchored_barrier(kernels: ActionKernelSet, c: float, anchor_x: float,
                      window: int, barrier_tol: float = 1e-7,
                      max_sweeps: int = 400, min_sweeps: int | None = None,
-                     patience: int | None = None, orbit_ref: int = -1) -> BarrierField:
+                     orbit_ref: int = -1) -> BarrierField:
     """Backward value iteration from an indicator seed at the anchor.
 
     Each sweep propagates the cost-to-anchor field through one more whole
     period (adding c per period); the barrier is the minimum over the trailing
-    ``window`` sweeps, iterated until that window minimum stops moving.
+    ``window`` sweeps, iterated until that window minimum has moved by at
+    most ``barrier_tol`` for max(2 window, 6) sweeps in a row.
     """
     grid = kernels.grid
     nx, nt = grid.nx, grid.nt
@@ -300,8 +305,7 @@ def anchored_barrier(kernels: ActionKernelSet, c: float, anchor_x: float,
     osc_trace: list[float] = []
     if min_sweeps is None:
         min_sweeps = max(2 * window + 4, 12)
-    if patience is None:
-        patience = max(2 * window, 6)
+    patience = max(2 * window, 6)
     stable = 0
     n_sweeps = 0
     g = np.empty((nx, nt))
@@ -343,8 +347,7 @@ def anchored_barrier(kernels: ActionKernelSet, c: float, anchor_x: float,
                         osc_trace=osc_trace, orbit_ref=orbit_ref)
 
 
-def action_potential_pair(field_i: BarrierField, field_j: BarrierField,
-                          max_offset_cells: float = 1.0):
+def action_potential_pair(field_i: BarrierField, field_j: BarrierField):
     """Barrier matrix entries (h(x_i, x_j), Phi(x_i, x_j)) read off field_j.
 
     field_j is anchored at x_j; its value at the node nearest x_i gives the
@@ -358,7 +361,7 @@ def action_potential_pair(field_i: BarrierField, field_j: BarrierField,
     node = int(round(xi * nx)) % nx
     offset = abs(xi - node / nx)
     offset = min(offset, 1.0 - offset)
-    if offset > max_offset_cells / nx:
+    if offset > 1.0 / nx:
         raise WeakKamError(
             f"anchor {xi} is {offset * nx:.2f} cells off the grid of field {field_j.anchor_x}")
     return float(field_j.h[node, 0]), float(field_j.phi_pot[node, 0])

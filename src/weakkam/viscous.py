@@ -111,28 +111,26 @@ def _march_period(model, chi: np.ndarray, S: float, grid: GridSpec, m_sub: int,
     return chi
 
 
-def cfl_timestep(grid: GridSpec, eps: float, alpha_max: float,
-                 safety: float = 0.45) -> float:
+def cfl_timestep(grid: GridSpec, eps: float, alpha_max: float) -> float:
     dx = grid.dx
-    return safety * min(dx * dx / (2.0 * eps), dx / alpha_max)
+    return 0.45 * min(dx * dx / (2.0 * eps), dx / alpha_max)
 
 
 def solve_cell(model, epsilon: float, grid: GridSpec, cell_tol: float = 1e-6,
-               max_periods: int = 600, lip_cap: float = 4.0, safety: float = 0.45,
-               normalize_node: int = 0, initial_offset: float = 0.0,
-               min_periods: int = 3) -> ViscousSolution:
+               max_periods: int = 600, lip_cap: float = 4.0,
+               normalize_node: int = 0, initial_offset: float = 0.0) -> ViscousSolution:
     """Long-time integration of the reversed evolution until time-periodicity.
 
     Convergence is measured on consecutive-period snapshot fields after
-    removing the uniform drift; the drift itself is the ergodic constant.
+    removing the uniform drift, from the fourth period on; the drift itself
+    is the ergodic constant.
     """
     if epsilon <= 0:
         raise ConfigError("epsilon must be positive", field="sweep.eps_list")
     nx, nt = grid.nx, grid.nt
     dx = grid.dx
     # |H_p| = m |p + b| <= m (lip_cap + |b|) while |p| <= lip_cap
-    ds_cfl = cfl_timestep(grid, epsilon, model.mass * (lip_cap + abs(model.momentum_offset)),
-                          safety)
+    ds_cfl = cfl_timestep(grid, epsilon, model.mass * (lip_cap + abs(model.momentum_offset)))
     m_sub = max(1, int(math.ceil((1.0 / nt) / ds_cfl)))
     if m_sub * nt > MAX_SUBSTEPS:
         raise ConfigError(
@@ -155,16 +153,17 @@ def solve_cell(model, epsilon: float, grid: GridSpec, cell_tol: float = 1e-6,
             c_est = float(np.mean(diff))
             res = float(np.max(np.abs(diff - c_est)))
             residual_history.append(res)
-            if res <= cell_tol and period >= min_periods:
+            if res <= cell_tol and period >= 3:
                 converged = True
                 prev_snaps = snaps.copy()
                 break
         prev_snaps = snaps.copy()
     if not converged:
+        # a single period leaves no residual: the first compares periods 0 and 1
+        last = residual_history[-1] if residual_history else math.nan
         raise ConvergenceError(
             f"cell problem did not reach periodicity in {max_periods} periods "
-            f"(eps={epsilon}, last residual {residual_history[-1]:.3e})",
-            trace=residual_history)
+            f"(eps={epsilon}, last residual {last:.3e})", trace=residual_history)
 
     # hard ergodic-constant bracket: inf_x,t H(x,0,t) <= c(eps) <= sup H(x,0,t)
     tprobe = np.arange(4 * nt) / (4 * nt)

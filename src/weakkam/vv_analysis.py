@@ -9,8 +9,10 @@ flow H_N(x, p, t) = H(x, Np, Nt) packs N original periods.
 
 Everything these checks read off one grid -- the confirmed Aubry orbits, the
 kernels, c(0), the anchored barriers, the Hessian curves and the viscous
-solutions -- is built once per run by ``Artifacts``.  The CLI pipeline holds
-one; each function here builds its own when it is not handed one.
+solutions -- is built once per run by ``Artifacts``, which also carries the
+model, the grid and the numerics they are built with.  ``sweep``,
+``rescale_check`` and ``example_verify`` each take one and read what they
+need from it; the CLI pipeline is one.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from .errors import CompatibilityError, WeakKamError
 from .dynamics import (PeriodicOrbit, PhasePoint, aubry_orbits, find_periodic_orbit,
                        orbit_window, potential_maxima)
-from .model import MECHANICAL, TRAVELING_WAVE, HamiltonianModel, PotentialSpec
+from .model import MECHANICAL, HamiltonianModel
 from .orbit_hessian import (HessianCurve, fd_crosscheck, lambda_averages,
                             unstable_hessian_curve)
 from .variational import (BarrierField, CriticalValueResult, GridSpec, anchored_barrier,
@@ -36,12 +38,13 @@ CONFIRM_TOL = 0.05   # largest barrier diagonal along a candidate's own trace
 
 
 class Artifacts:
-    """One run's objects on one grid, each built once, when first asked for.
+    """A run's model, grid and numerics, and the objects built from them.
 
-    ``orbits`` are the candidates of ``aubry_orbits`` whose own anchored
-    barrier vanishes along their trace (to ``CONFIRM_TOL``), and ``fields``
-    are those barriers; ``solution(eps)`` is the viscous solution normalized
-    at node 0.  ``wall`` holds the seconds each build took.
+    Each object is built once, when first asked for.  ``orbits`` are the
+    candidates of ``aubry_orbits`` whose own anchored barrier vanishes along
+    their trace (to ``CONFIRM_TOL``), and ``fields`` are those barriers, over
+    the window of the candidates' periods; ``solution(eps)`` is the viscous
+    solution normalized at node 0.  ``wall`` holds the seconds each build took.
     """
 
     def __init__(self, model: HamiltonianModel, grid: GridSpec, vmax: float = 4.0,
@@ -214,27 +217,18 @@ def _fit_smallest_half(eps_list, c_records):
     return float(coef[0])
 
 
-def sweep(model, eps_list, grid: GridSpec, vmax: float = 4.0,
-          cell_tol: float = 1e-6, barrier_tol: float = 1e-7,
-          shoot_tol: float = 1e-10, grid_tol: float = 0.02,
-          aubry_tol: float = 0.02, lip_cap: float = 4.0,
-          max_periods: int = 600, max_sweeps: int = 400,
-          grad_band_cells: int = 5, artifacts: Artifacts | None = None) -> SweepReport:
+def sweep(art: Artifacts, eps_list, grid_tol: float = 0.02,
+          aubry_tol: float = 0.02) -> SweepReport:
     """Full pipeline: orbits -> c(0) -> barriers -> lambdas -> eps solves -> limits.
 
-    ``artifacts``, when given, must be built for ``model`` on ``grid``; it
-    then supplies everything and the numerics arguments are not read.  The
-    solutions it holds are normalized at node 0 and are renormalized here at
-    the selected orbit's anchor.
+    The solutions ``art`` holds are normalized at node 0 and are renormalized
+    here at the selected orbit's anchor.
     """
     eps_arr = [float(e) for e in eps_list]
     if any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
         raise WeakKamError("eps_list must be strictly decreasing")
 
-    art = artifacts or Artifacts(model, grid, vmax=vmax, shoot_tol=shoot_tol,
-                                 barrier_tol=barrier_tol, max_sweeps=max_sweeps,
-                                 cell_tol=cell_tol, max_periods=max_periods,
-                                 lip_cap=lip_cap)
+    grid = art.grid
     orbits, fields, c0 = art.orbits, art.fields, art.critical.c
     residuals = aubry_verify(fields, orbits, aubry_tol=aubry_tol)
     bad = [r.orbit_ref for r in residuals if not r.ok]
@@ -266,7 +260,7 @@ def sweep(model, eps_list, grid: GridSpec, vmax: float = 4.0,
 
     limit_errors = [float(np.max(np.abs(s.phi - predicted))) for s in solutions]
 
-    # gradient mismatch on a band around the selected orbit
+    # gradient mismatch on a band of 5 cells each side of the selected orbit
     nx, nt = grid.nx, grid.nt
     dx = grid.dx
     def centered_grad(f):
@@ -280,7 +274,7 @@ def sweep(model, eps_list, grid: GridSpec, vmax: float = 4.0,
         for j in range(nt):
             xo = float(sel_orbit.position(j / nt) % 1.0)
             i0 = int(round(xo * nx)) % nx
-            idx = (i0 + np.arange(-grad_band_cells, grad_band_cells + 1)) % nx
+            idx = (i0 + np.arange(-5, 6)) % nx
             worst = max(worst, float(np.max(np.abs(gsol[idx, j] - gpred[idx, j]))))
         grad_errors.append(worst)
 
@@ -321,40 +315,39 @@ class RescaleReport:
     c_original: float
     c_rescaled: float
 
-    def ok(self, barrier_tol: float = 0.02, lambda_tol: float = 1e-6) -> bool:
+    def ok(self, barrier_tol: float = 0.02) -> bool:
         if self.vacuous:
             return True
         return (self.barrier_identity_error <= barrier_tol
-                and all(e <= lambda_tol for e in self.lambda_errors))
+                and all(e <= 1e-6 for e in self.lambda_errors))
 
 
-def rescale_check(model, orbits: list[PeriodicOrbit], grid: GridSpec,
-                  vmax: float = 4.0, barrier_tol: float = 1e-7,
-                  shoot_tol: float = 1e-5, max_sweeps: int = 400) -> RescaleReport:
+def rescale_check(art: Artifacts) -> RescaleReport:
     """Compare anchored barriers and averaged Laplacians across period rescaling.
 
     With N the lcm of the orbit periods, one period of H_N packs N periods of
     H: the original barrier must equal N times the minimum over the rescaled
     barriers anchored at the N_i time-translates of each orbit, and the
     rescaled averaged Laplacian (compensated by the packing factor N) must
-    reproduce lambda_i.
+    reproduce lambda_i.  The original barriers, curves and c(0) are those of
+    ``art``, whose fields span the window N already; the rescaled model gets
+    its own ``Artifacts`` on nx x (N nt) with the same barrier numerics.
     """
+    orbits, grid = art.orbits, art.grid
     N = orbit_window(orbits)
     if N == 1:
         return RescaleReport(N=1, vacuous=True, barrier_identity_error=0.0,
                              worst_node=(), lambda_errors=[], c_original=0.0,
                              c_rescaled=0.0)
-    rmodel = model.rescaled(N)
-    numerics = dict(barrier_tol=barrier_tol, max_sweeps=max_sweeps)
-    original = Artifacts(model, grid, vmax=vmax, **numerics)
-    rescaled = Artifacts(rmodel, GridSpec(grid.nx, grid.nt * N), vmax=vmax * N, **numerics)
+    rmodel = art.model.rescaled(N)
+    rescaled = Artifacts(rmodel, GridSpec(grid.nx, grid.nt * N), vmax=art.vmax * N,
+                         barrier_tol=art.barrier_tol, max_sweeps=art.max_sweeps)
+    shoot_tol = max(art.shoot_tol, 1e-5)
 
     worst_err = 0.0
     worst_node = ()
     lambda_errors = []
-    for orbit in orbits:
-        field0 = original.barrier(orbit.anchor.x, window=N)
-        curve0 = unstable_hessian_curve(model, orbit)
+    for orbit, field0, curve0 in zip(orbits, art.fields, art.curves):
         rfields = []
         for j in range(1, orbit.period + 1):
             anchor_j = float(orbit.position(-float(j)) % 1.0)
@@ -377,7 +370,7 @@ def rescale_check(model, orbits: list[PeriodicOrbit], grid: GridSpec,
                 worst_node = (int(np.argmax(err_col)), s)
     return RescaleReport(N=N, vacuous=False, barrier_identity_error=worst_err,
                          worst_node=worst_node, lambda_errors=lambda_errors,
-                         c_original=original.critical.c,
+                         c_original=art.critical.c,
                          c_rescaled=rescaled.critical.c)
 
 
@@ -392,32 +385,26 @@ class ExampleReport:
     shift_consistency_error: float
     expected_curvatures: list[float]
 
-    def ok(self, riccati_tol: float = 1e-3, fd_tol: float = 0.05,
-           shift_tol: float = 0.02) -> bool:
+    def ok(self) -> bool:
         return (self.orbit_count_ok
-                and all(e <= riccati_tol for e in self.riccati_errors)
-                and all(d <= fd_tol for d in self.fd_deviations)
-                and self.shift_consistency_error <= shift_tol)
+                and all(e <= 1e-3 for e in self.riccati_errors)
+                and all(d <= 0.05 for d in self.fd_deviations)
+                and self.shift_consistency_error <= 0.02)
 
 
-def example_verify(k: int, potential: PotentialSpec, grid: GridSpec,
-                   vmax: float = 4.0, shoot_tol: float = 1e-5,
-                   barrier_tol: float = 1e-7, max_sweeps: int = 400,
-                   artifacts: Artifacts | None = None) -> ExampleReport:
+def example_verify(art: Artifacts) -> ExampleReport:
     """Traveling-wave verification: orbits, curvature law, barrier transport.
 
-    Checks that (a) the orbits are the k-translates of the cell maxima,
+    For the traveling wave of ``art`` (wind k = ``art.model.cells``, potential
+    V) checks that (a) the orbits are the k-translates of the cell maxima,
     (b) the curvature of -h along each orbit equals -sqrt(-V'') there, via
     both the propagated-subspace average and the grid second difference,
     (c) the barrier is carried by the wave: h(x, [t], anchor) equals the
     autonomous barrier to the nearest of the k translate anchors evaluated at
-    x + t/k.  ``artifacts``, when given, must be built for the traveling wave
-    (k, potential) on ``grid``; it supplies the orbits, barriers and curves,
-    and its numerics serve the autonomous companion.
+    x + t/k.  The orbits, barriers and curves are those of ``art``, and its
+    numerics serve the autonomous companion.
     """
-    art = artifacts or Artifacts(
-        HamiltonianModel(family=TRAVELING_WAVE, potential=potential, wind=k), grid,
-        vmax=vmax, shoot_tol=shoot_tol, barrier_tol=barrier_tol, max_sweeps=max_sweeps)
+    k, potential, grid = art.model.cells, art.model.potential, art.grid
     orbits = art.orbits
     maxima = potential_maxima(art.model)
     orbit_count_ok = len(orbits) == len(maxima) and all(o.period == k for o in orbits)

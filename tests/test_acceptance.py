@@ -37,7 +37,7 @@ from weakkam.stochastic import (DriftField, StaticCenter, exit_time_scaling,
 from weakkam.variational import (GridSpec, anchored_barrier, build_kernels,
                                  critical_value)
 from weakkam.viscous import solve_cell
-from weakkam.vv_analysis import example_verify, rescale_check, slope_fit, sweep
+from weakkam.vv_analysis import Artifacts, example_verify, rescale_check, slope_fit, sweep
 
 TWO_PI = 2 * math.pi
 LAMBDA_1 = TWO_PI * math.sqrt(3)
@@ -75,7 +75,7 @@ def lambda_setup(bench):
 def bench_sweep(bench):
     """Criteria 4-7 share one sweep at nx=400, nt=64."""
     t0 = time.perf_counter()
-    rep = sweep(bench, [0.02, 0.01, 0.005, 0.0025], GridSpec(400, 64))
+    rep = sweep(Artifacts(bench, GridSpec(400, 64)), [0.02, 0.01, 0.005, 0.0025])
     rep.elapsed = time.perf_counter() - t0
     return rep
 
@@ -207,10 +207,9 @@ def test_criterion_8_traveling_wave_example():
     t0 = time.perf_counter()
     V = PotentialSpec.from_terms([(0, -0.5, 0.0), (2, 0.5, 0.0)])
     tw = HamiltonianModel(family="traveling_wave", potential=V, wind=2)
-    grid = GridSpec(400, 64)
-    ex = example_verify(2, V, grid, shoot_tol=1e-5)
-    orbits = aubry_orbits(tw, shoot_tol=1e-5)
-    rc = rescale_check(tw, orbits, grid, shoot_tol=1e-5)
+    art = Artifacts(tw, GridSpec(400, 64), shoot_tol=1e-5)
+    ex = example_verify(art)
+    rc = rescale_check(art)
     elapsed = time.perf_counter() - t0
     ric = max(ex.riccati_errors)
     fd = max(ex.fd_deviations)

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from weakkam.cli import config_hash, load_config, main, run_config, validate_config
 from weakkam.errors import ConfigError
@@ -171,9 +171,32 @@ def test_every_stage_honours_max_sweeps(tmp_path, capsys):
     assert "barrier iteration did not settle in 5 sweeps" in capsys.readouterr().err
 
 
-def test_numerics_seeds_is_not_an_option(tmp_path):
+def test_numerics_seeds_is_not_an_option(tmp_path, capsys):
     path = write_config(tmp_path, numerics={"seeds": [["a", 0]]})
-    assert run_config(str(path), "orbits") == 0
+    assert run_config(str(path), "orbits") == 1
+    assert "config error at 'numerics.seeds'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("over, field", [
+    ({"numerics": {"max_sweep": 5}}, "numerics.max_sweep"),
+    ({"output": {"formats": ["jsn"]}}, "output.formats"),
+    ({"output": {"directory": 123}}, "output.directory"),
+])
+def test_misspelt_or_mistyped_config_is_refused(tmp_path, capsys, over, field):
+    # the first two once ran on a default in place of the value, the last
+    # died with a TypeError when the first artifact was written
+    path = write_config(tmp_path, **over)
+    assert run_config(str(path), "critical") == 1
+    assert f"config error at '{field}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_single_period_cap_fails_cleanly(tmp_path, capsys):
+    # one period leaves no periodicity residual to report
+    path = write_config(tmp_path, sweep={"eps_list": [0.05]}, numerics={"max_periods": 1})
+    assert main(["--config", str(path), "--command", "viscous"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "viscous failed: cell problem did not reach periodicity in 1 periods")
 
 
 SOLVERS = {"critical_value": "weakkam.variational", "solve_cell": "weakkam.viscous",
@@ -213,6 +236,22 @@ def test_all_builds_each_artifact_once(tmp_path, monkeypatch):
     assert sorted(c["anchor_x"] for c in barriers) == pytest.approx([0.0, 0.5], abs=1e-9)
 
 
+def test_traveling_wave_all_builds_each_grids_critical_value_once(tmp_path, monkeypatch):
+    # rescale_check reuses the pipeline's c(0) and barriers; the rescaled grid
+    # (nt doubled) and the example's autonomous companion build their own
+    cfg = {"model": TRAVELING_WAVE, "grid": {"nx": 32, "nt": 8},
+           "numerics": {"shoot_tol": 1e-5},
+           "output": {"directory": str(tmp_path / "out"), "formats": ["json"]}}
+    path = tmp_path / "tw.json"
+    path.write_text(json.dumps(cfg))
+    calls = record_solver_calls(monkeypatch)
+    assert run_config(str(path), "all") in (0, 2)
+    grid, rescaled = GridSpec(32, 8), GridSpec(32, 16)
+    assert [c["kernels"].grid for c in calls["critical_value"]] == [grid, rescaled, grid]
+    assert [c["kernels"].grid for c in calls["anchored_barrier"]] == [grid, rescaled,
+                                                                      rescaled, grid]
+
+
 def test_out_flag_wins_over_config_directory(tmp_path):
     path = write_config(tmp_path)   # the config names tmp_path / "out"
     explicit = tmp_path / "explicit"
@@ -239,6 +278,7 @@ FULL_CONFIG = {
     "sweep": {"eps_list": [0.05, 0.03, 0.02]},
     "stochastic": {"n_paths": 200, "dt": 5e-4, "delta": 0.1, "kappa": 5.0,
                    "seed": 77, "eps_list": [0.08, 0.04]},
+    "output": {"directory": "out", "formats": ["json", "csv"]},
 }
 
 # every numeric entry of FULL_CONFIG: (path to it, field the error must name)
@@ -286,3 +326,30 @@ def test_junk_in_any_numeric_field_names_it(entry, junk):
     with pytest.raises(ConfigError) as info:
         validate_config(cfg)
     assert info.value.field == field
+
+
+BLOCKS = ("", "model", "model.potential", "grid", "numerics", "sweep", "stochastic",
+          "output")
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(BLOCKS), key=st.text(min_size=1, max_size=12))
+@example(name="", key="stochastc")
+@example(name="model", key="wnd")
+@example(name="model.potential", key="term")
+@example(name="grid", key="nz")
+@example(name="numerics", key="max_sweep")
+@example(name="sweep", key="eps")
+@example(name="stochastic", key="n_path")
+@example(name="output", key="format")
+def test_unknown_key_in_any_block_names_it(name, key):
+    # FULL_CONFIG carries every known key, so any key it lacks is unknown
+    cfg = copy.deepcopy(FULL_CONFIG)
+    block = cfg
+    for part in filter(None, name.split(".")):
+        block = block[part]
+    assume(key not in block)
+    block[key] = 1
+    with pytest.raises(ConfigError) as info:
+        validate_config(cfg)
+    assert info.value.field == (f"{name}.{key}" if name else key)

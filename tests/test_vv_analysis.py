@@ -3,18 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from weakkam.dynamics import aubry_orbits
 from weakkam.errors import CompatibilityError, WeakKamError
 from weakkam.model import HamiltonianModel, PotentialSpec
 from weakkam.orbit_hessian import unstable_hessian_curve, lambda_averages
 from weakkam.variational import GridSpec, anchored_barrier, barrier_matrix, build_kernels, critical_value
-from weakkam.vv_analysis import (SweepReport, example_verify, local_max_set, orbit_window,
-                                 predicted_limit, rescale_check, slope_fit, sweep)
+from weakkam.vv_analysis import (Artifacts, SweepReport, example_verify, local_max_set,
+                                 orbit_window, predicted_limit, rescale_check, slope_fit,
+                                 sweep)
 
 
 @pytest.fixture(scope="module")
 def small_sweep(bench_model):
-    return sweep(bench_model, [0.03, 0.02, 0.012], GridSpec(128, 16))
+    return sweep(Artifacts(bench_model, GridSpec(128, 16)), [0.03, 0.02, 0.012])
 
 
 def test_predicted_limit_unique_minimizer(small_sweep):
@@ -90,7 +90,7 @@ def test_sweep_structure(small_sweep):
 
 def test_sweep_rejects_nonmonotone_eps(bench_model):
     with pytest.raises(WeakKamError):
-        sweep(bench_model, [0.01, 0.02, 0.03], GridSpec(64, 8))
+        sweep(Artifacts(bench_model, GridSpec(64, 8)), [0.01, 0.02, 0.03])
 
 
 def test_slope_fit_synthetic():
@@ -132,22 +132,21 @@ def test_orbit_window(bench_orbits):
     assert orbit_window(bench_orbits) == 1
 
 
-def test_rescale_check_vacuous(bench_model, bench_orbits):
-    rep = rescale_check(bench_model, bench_orbits, GridSpec(64, 8))
+def test_rescale_check_vacuous(bench_model):
+    rep = rescale_check(Artifacts(bench_model, GridSpec(64, 8)))
     assert rep.vacuous and rep.ok()
 
 
 def test_rescale_check_traveling_wave(tw_model):
-    orbits = aubry_orbits(tw_model, shoot_tol=1e-5)
-    rep = rescale_check(tw_model, orbits, GridSpec(256, 32), shoot_tol=1e-5)
+    rep = rescale_check(Artifacts(tw_model, GridSpec(256, 32), shoot_tol=1e-5))
     assert rep.N == 2 and not rep.vacuous
     assert rep.barrier_identity_error <= 0.04
     assert all(e <= 1e-6 for e in rep.lambda_errors)
     assert rep.c_rescaled == pytest.approx(rep.c_original / 2, abs=1e-9)
 
 
-def test_example_verify_small(tw_potential):
-    rep = example_verify(2, tw_potential, GridSpec(256, 32), shoot_tol=1e-5)
+def test_example_verify_small(tw_model):
+    rep = example_verify(Artifacts(tw_model, GridSpec(256, 32), shoot_tol=1e-5))
     assert rep.orbit_count_ok
     assert rep.translate_residual <= 1e-5
     assert all(e <= 1e-3 for e in rep.riccati_errors)
