@@ -190,6 +190,13 @@ def emit_reports(results: dict, command: str, cfg: dict, out_dir: str,
     return written
 
 
+def _grid_table(grid: GridSpec, **fields):
+    """CSV table with one row (x_index, t_index, x, t, *fields) per (node, substep)."""
+    a, j = np.divmod(np.arange(grid.nx * grid.nt), grid.nt)
+    columns = [a, j, a / grid.nx, j / grid.nt] + [np.ravel(f) for f in fields.values()]
+    return ("x_index", "t_index", "x", "t", *fields), list(zip(*(c.tolist() for c in columns)))
+
+
 class _Pipeline(Artifacts):
     """Stage runner: the config's ``Artifacts``, which every stage reads and the
     analysis stages hand to ``sweep``, ``rescale_check`` and ``example_verify``."""
@@ -236,15 +243,8 @@ class _Pipeline(Artifacts):
         residuals = aubry_verify(fields, self.orbits,
                                  aubry_tol=self.numerics["aubry_tol"])
         H, Phi = barrier_matrix(fields)
-        tables = {}
-        for i, fld in enumerate(fields):
-            rows = []
-            for a in range(self.grid.nx):
-                for j in range(self.grid.nt):
-                    rows.append((a, j, a / self.grid.nx, j / self.grid.nt,
-                                 float(fld.h[a, j]), float(fld.phi_pot[a, j])))
-            tables[f"anchor{i}"] = (("x_index", "t_index", "x", "t", "h", "phi_pot"),
-                                    rows)
+        tables = {f"anchor{i}": _grid_table(self.grid, h=fld.h, phi_pot=fld.phi_pot)
+                  for i, fld in enumerate(fields)}
         results = {
             "c": self.critical.c,
             "anchors": [f.anchor_x for f in fields],
@@ -260,7 +260,6 @@ class _Pipeline(Artifacts):
     def stage_viscous(self):
         eps_list = self.cfg.get("sweep", {}).get("eps_list", [])
         _require(eps_list, "viscous stage needs sweep.eps_list", "sweep.eps_list")
-        rows = []
         tables = {}
         records = []
         ok = True
@@ -273,12 +272,7 @@ class _Pipeline(Artifacts):
                             "operator_residual": res,
                             "n_periods": sol.n_periods,
                             "steps_per_period": sol.m_sub * self.grid.nt})
-            prows = []
-            for a in range(self.grid.nx):
-                for j in range(self.grid.nt):
-                    prows.append((a, j, a / self.grid.nx, j / self.grid.nt,
-                                  float(sol.phi[a, j])))
-            tables[f"eps{eps}"] = (("x_index", "t_index", "x", "t", "phi"), prows)
+            tables[f"eps{eps}"] = _grid_table(self.grid, phi=sol.phi)
             ok = ok and res <= 10 * self.numerics["cell_tol"]
         return {"solves": records}, tables, ok
 
@@ -419,8 +413,9 @@ def run_config(path: str, command: str, out_dir: str | None = None,
     except ConfigError as exc:
         print(f"config error at '{exc.field}': {exc}", file=sys.stderr)
         return 1
-    if seed_override is not None:
-        cfg.setdefault("stochastic", {})["seed"] = int(seed_override)
+    if seed_override is not None and cfg.get("stochastic"):
+        # a config without a stochastic block has no seed to override
+        cfg["stochastic"]["seed"] = int(seed_override)
     if out_dir is None:
         out_dir = cfg.get("output", {}).get("directory") or "."
 

@@ -80,7 +80,6 @@ class LambdaReport:
     lambdas: list[float]
     lambda_bar: float
     argmin: list[int]
-    tie_tol: float
 
 
 def lambda_averages(curves: list[HessianCurve]) -> LambdaReport:
@@ -91,7 +90,7 @@ def lambda_averages(curves: list[HessianCurve]) -> LambdaReport:
     lam_bar = min(lams)
     tol = 1e-4 * abs(lam_bar)
     argmin = [i for i, lam in enumerate(lams) if lam <= lam_bar + tol]
-    return LambdaReport(lambdas=lams, lambda_bar=lam_bar, argmin=argmin, tie_tol=tol)
+    return LambdaReport(lambdas=lams, lambda_bar=lam_bar, argmin=argmin)
 
 
 @dataclass
@@ -112,8 +111,7 @@ def fd_crosscheck(field, orbit: PeriodicOrbit, curve: HessianCurve) -> FdReport:
     stencil) the stencil is widened, up to nx/8 cells, until consecutive
     doublings agree to 2 %, and the report flags the widening.
     """
-    nx, nt = field.grid.nx, field.grid.nt
-    dxg = field.grid.dx
+    nx, dxg = field.grid.nx, field.grid.dx
     max_step = max(FD_BASE_STEP, nx // 8)
     steps = []
     s = FD_BASE_STEP
@@ -122,18 +120,13 @@ def fd_crosscheck(field, orbit: PeriodicOrbit, curve: HessianCurve) -> FdReport:
         s *= 2
 
     lam = curve.lambda_i
+    xs, cols = field.grid.trace(orbit)
+    i0 = field.grid.node(xs)
     table = []
     for s in steps:
-        vals = []
-        for j in range(nt * orbit.period):
-            t = j / nt
-            xo = float(orbit.position(t) % 1.0)
-            i0 = int(round(xo * nx)) % nx
-            jj = j % nt
-            fd = (field.h[(i0 + s) % nx, jj] - 2.0 * field.h[i0, jj]
-                  + field.h[(i0 - s) % nx, jj]) / (s * dxg) ** 2
-            vals.append(fd)
-        fd_avg = float(np.mean(vals))
+        fd = (field.h[(i0 + s) % nx, cols] - 2.0 * field.h[i0, cols]
+              + field.h[(i0 - s) % nx, cols]) / (s * dxg) ** 2
+        fd_avg = float(np.mean(fd))
         table.append((s, fd_avg, abs(fd_avg - lam) / abs(lam)))
 
     chosen = len(table) - 1

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .variational import BarrierField, GridSpec
-from .viscous import ViscousSolution
+from .viscous import ViscousSolution, centered_gradient
 
 BLOCK_PATHS = 4096
 CHUNK_STEPS = 2048
@@ -75,8 +75,8 @@ class DriftField:
     @classmethod
     def _from_profile(cls, kind: str, model, grid: GridSpec, profile) -> "DriftField":
         """U = H_p(x, D profile, t) with the centered difference in x."""
-        grad = (np.roll(profile, -1, axis=0) - np.roll(profile, 1, axis=0)) / (2 * grid.dx)
-        U = model.h_p_of_gradient(grid.nodes()[:, None], grad, grid.substep_times()[None, :])
+        U = model.h_p_of_gradient(grid.nodes()[:, None], centered_gradient(profile, grid.dx),
+                                  grid.substep_times()[None, :])
         return cls(kind=kind, grid=grid, values=U)
 
     def __call__(self, x, s):

@@ -36,7 +36,12 @@ AGREEMENT_TOL = 1e-6      # largest Karp - power gap critical_value accepts
 
 @dataclass(frozen=True)
 class GridSpec:
-    """nx spatial nodes on [0,1), nt substeps per unit time."""
+    """nx spatial nodes on [0,1), nt substeps per unit time.
+
+    ``node`` and ``trace`` are the grid's one way to read a field at a point
+    or along an orbit: the nearest node, and the orbit sampled at the substep
+    times together with the columns those samples fall in.
+    """
 
     nx: int
     nt: int
@@ -55,6 +60,26 @@ class GridSpec:
 
     def substep_times(self) -> np.ndarray:
         return np.arange(self.nt) / self.nt
+
+    def node(self, x):
+        """Index of the node nearest x on the circle, ties to even as round() does.
+
+        An ``int`` for a scalar x, an integer array for an array; a non-finite
+        x, which has no nearest node, is refused.
+        """
+        x = np.asarray(x, dtype=float)
+        if not np.all(np.isfinite(x)):
+            raise WeakKamError(f"no grid node is nearest a non-finite position {x!r}")
+        i = np.rint((x % 1.0) * self.nx).astype(int) % self.nx
+        return int(i) if i.ndim == 0 else i
+
+    def trace(self, orbit, n: int | None = None):
+        """Orbit positions mod 1 at the substep times j/nt, j < n, and columns j mod nt.
+
+        ``n`` defaults to ``nt * orbit.period``, one whole period of the orbit.
+        """
+        j = np.arange(self.nt * orbit.period if n is None else n)
+        return orbit.position(j / self.nt) % 1.0, j % self.nt
 
 
 @dataclass
@@ -252,11 +277,7 @@ class BarrierField:
     """
 
     anchor_x: float
-    anchor_node: int
-    anchor_offset: float
     grid: GridSpec
-    c_used: float
-    window: int
     h: np.ndarray
     phi_pot: np.ndarray
     window_osc: float
@@ -264,8 +285,8 @@ class BarrierField:
     osc_trace: list = field(default_factory=list)
     orbit_ref: int = -1
 
-    def value_at(self, x, j: int):
-        """Linear interpolation of the barrier h along x at substep column j."""
+    def value_at(self, x, j):
+        """Linear interpolation of the barrier h along x at substep column(s) j."""
         nx = self.grid.nx
         pos = (np.asarray(x, dtype=float) % 1.0) * nx
         i0 = np.floor(pos).astype(int) % nx
@@ -288,9 +309,7 @@ def anchored_barrier(kernels: ActionKernelSet, c: float, anchor_x: float,
     nx, nt = grid.nx, grid.nt
     if window < 1:
         raise WeakKamError("window must be >= 1")
-    anchor_node = int(round((anchor_x % 1.0) * nx)) % nx
-    anchor_offset = abs((anchor_x % 1.0) - anchor_node / nx)
-    anchor_offset = min(anchor_offset, 1.0 - anchor_offset)
+    anchor_node = grid.node(anchor_x)
     tgt = kernels.target_index()
     c_sub = c / nt
 
@@ -340,9 +359,7 @@ def anchored_barrier(kernels: ActionKernelSet, c: float, anchor_x: float,
             f"barrier iteration did not settle in {max_sweeps} sweeps "
             f"(last window oscillation {window_osc:.3e})", trace=osc_trace)
 
-    return BarrierField(anchor_x=anchor_x, anchor_node=anchor_node,
-                        anchor_offset=anchor_offset, grid=grid, c_used=c,
-                        window=window, h=h_prev, phi_pot=phi,
+    return BarrierField(anchor_x=anchor_x, grid=grid, h=h_prev, phi_pot=phi,
                         window_osc=window_osc, n_sweeps=n_sweeps,
                         osc_trace=osc_trace, orbit_ref=orbit_ref)
 
@@ -351,19 +368,11 @@ def action_potential_pair(field_i: BarrierField, field_j: BarrierField):
     """Barrier matrix entries (h(x_i, x_j), Phi(x_i, x_j)) read off field_j.
 
     field_j is anchored at x_j; its value at the node nearest x_i gives the
-    cost from (x_i, [0]) to (x_j, [0]).  Anchors more than one cell off-grid
-    are refused.
+    cost from (x_i, [0]) to (x_j, [0]).  A non-finite anchor is refused.
     """
-    nx = field_j.grid.nx
     if not math.isfinite(field_i.anchor_x):
         raise WeakKamError(f"non-finite anchor {field_i.anchor_x!r}")
-    xi = field_i.anchor_x % 1.0
-    node = int(round(xi * nx)) % nx
-    offset = abs(xi - node / nx)
-    offset = min(offset, 1.0 - offset)
-    if offset > 1.0 / nx:
-        raise WeakKamError(
-            f"anchor {xi} is {offset * nx:.2f} cells off the grid of field {field_j.anchor_x}")
+    node = field_j.grid.node(field_i.anchor_x)
     return float(field_j.h[node, 0]), float(field_j.phi_pot[node, 0])
 
 
@@ -397,13 +406,8 @@ def aubry_verify(fields: list[BarrierField], orbits, aubry_tol: float = 0.02):
     """
     out = []
     for fld, orbit in zip(fields, orbits):
-        nt = fld.grid.nt
-        vals = []
-        for j in range(nt * orbit.period):
-            t = j / nt
-            x = float(orbit.position(t) % 1.0)
-            vals.append(abs(float(fld.value_at(x, j % nt))))
-        out.append(AubryResidual(orbit_ref=fld.orbit_ref, residual=max(vals),
+        vals = fld.value_at(*fld.grid.trace(orbit))
+        out.append(AubryResidual(orbit_ref=fld.orbit_ref, residual=float(np.max(np.abs(vals))),
                                  tol=aubry_tol))
     return out
 

@@ -12,7 +12,9 @@ stencil-local max of |H_p| (capped by the a-priori gradient bound, which the
 converged profile is checked against).  After the profile locks onto the
 time-periodic regime, the per-period mean increment is c(eps) and the
 drift-corrected profile, mapped back to forward time, is the solution
-normalized at a configured anchor node.
+normalized at a configured anchor node.  The solution keeps the reversed
+state at the end of its last period, so ``residual_check`` marches one period
+more from there.
 
 Every model is H = m q^2/2 + e0 + W(x, t) with q = p + b, so the march
 tabulates W once per row block, at the block's m_sub step times
@@ -40,18 +42,17 @@ class ViscousSolution:
 
     epsilon: float
     c_eps: float
-    phi: np.ndarray                 # (nx, nt), phi[anchor_node, 0] = 0
+    phi: np.ndarray                 # (nx, nt), zero at the normalization node and t = 0
     lip_x: float
     semiconvexity_const: float
     periodicity_residual: float
     grid: GridSpec
-    anchor_node: int
     n_periods: int
     ds: float
     m_sub: int
     residual_history: list = field(default_factory=list)
     reversed_snaps: np.ndarray | None = None   # final-period state at substep phases
-    final_period_index: int = 0
+    end_state: np.ndarray | None = None        # reversed state at s = n_periods
     lip_cap: float = 4.0
 
 
@@ -87,13 +88,12 @@ def step_operator(model, chi, tau, ds, grid: GridSpec, eps, lip_cap=4.0):
 
 
 def _march_period(model, chi: np.ndarray, S: float, grid: GridSpec, m_sub: int,
-                  ds: float, eps: float, lip_cap: float,
-                  snaps: np.ndarray | None = None) -> np.ndarray:
+                  ds: float, eps: float, lip_cap: float, snaps: np.ndarray) -> np.ndarray:
     """March chi through the reversed period [S, S + 1] in nt * m_sub steps.
 
     Step m of row block j runs at tau = -s, s = S + j/nt + m ds; W at all
     m_sub times of a block is tabulated in one call before the block is
-    stepped.  ``snaps[:, j]``, when given, receives chi at s = S + j/nt.
+    stepped.  ``snaps[:, j]`` receives chi at s = S + j/nt.
     """
     nt, nx = grid.nt, grid.nx
     xs = grid.nodes()
@@ -101,8 +101,7 @@ def _march_period(model, chi: np.ndarray, S: float, grid: GridSpec, m_sub: int,
     q_cap = lip_cap + abs(b)
     offsets = np.arange(m_sub) * ds
     for j in range(nt):
-        if snaps is not None:
-            snaps[:, j] = chi
+        snaps[:, j] = chi
         s = S + j / nt + offsets
         # a model with w = 0 gives one row, shared by the block
         table = np.broadcast_to(model.potential_value(xs, -s[:, None]), (m_sub, nx))
@@ -146,8 +145,7 @@ def solve_cell(model, epsilon: float, grid: GridSpec, cell_tol: float = 1e-6,
     converged = False
     period = 0
     for period in range(max_periods):
-        chi = _march_period(model, chi, period, grid, m_sub, ds, epsilon, lip_cap,
-                            snaps=snaps)
+        chi = _march_period(model, chi, period, grid, m_sub, ds, epsilon, lip_cap, snaps)
         if prev_snaps is not None:
             diff = snaps - prev_snaps
             c_est = float(np.mean(diff))
@@ -194,10 +192,14 @@ def solve_cell(model, epsilon: float, grid: GridSpec, cell_tol: float = 1e-6,
         epsilon=epsilon, c_eps=c_est, phi=phi, lip_x=lip,
         semiconvexity_const=semi,
         periodicity_residual=residual_history[-1],
-        grid=grid, anchor_node=normalize_node, n_periods=period + 1,
-        ds=ds, m_sub=m_sub, residual_history=residual_history,
-        reversed_snaps=prev_snaps, final_period_index=period,
+        grid=grid, n_periods=period + 1, ds=ds, m_sub=m_sub,
+        residual_history=residual_history, reversed_snaps=prev_snaps, end_state=chi,
         lip_cap=lip_cap)
+
+
+def centered_gradient(phi: np.ndarray, dx: float) -> np.ndarray:
+    """Centered difference in x of an (nx, ...) field on the circle."""
+    return (np.roll(phi, -1, axis=0) - np.roll(phi, 1, axis=0)) / (2 * dx)
 
 
 def lipschitz_constant(phi: np.ndarray, dx: float) -> float:
@@ -212,17 +214,16 @@ def semiconvexity_constant(phi: np.ndarray, dx: float) -> float:
 
 
 def residual_check(model, sol: ViscousSolution) -> float:
-    """Re-march the final period, then one more; sup deviation from c(eps)-drift.
+    """March one period past the solve; sup deviation from the c(eps) drift.
 
+    The march starts from the state ``solve_cell`` ended on, at s = n_periods.
     A perfectly periodic converged profile reproduces itself shifted by
     exactly c(eps) per period; the reported residual is the sup-norm defect
-    of the extra period against the stored substep snapshots.
+    of that extra period against the stored substep snapshots.
     """
-    S = float(sol.final_period_index)
     snaps = sol.reversed_snaps
-    march = (sol.grid, sol.m_sub, sol.ds, sol.epsilon, sol.lip_cap)
-    chi = _march_period(model, snaps[:, 0], S, *march)
-    second = np.empty_like(snaps)
-    chi = _march_period(model, chi, S + 1, *march, snaps=second)
-    worst = float(np.max(np.abs(second - (snaps + sol.c_eps))))
+    extra = np.empty_like(snaps)
+    chi = _march_period(model, sol.end_state, sol.n_periods, sol.grid, sol.m_sub, sol.ds,
+                        sol.epsilon, sol.lip_cap, extra)
+    worst = float(np.max(np.abs(extra - (snaps + sol.c_eps))))
     return max(worst, float(np.max(np.abs(chi - (snaps[:, 0] + 2.0 * sol.c_eps)))))

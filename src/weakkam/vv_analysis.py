@@ -32,7 +32,7 @@ from .orbit_hessian import (HessianCurve, fd_crosscheck, lambda_averages,
                             unstable_hessian_curve)
 from .variational import (BarrierField, CriticalValueResult, GridSpec, anchored_barrier,
                           aubry_verify, barrier_matrix, build_kernels, critical_value)
-from .viscous import ViscousSolution, solve_cell
+from .viscous import ViscousSolution, centered_gradient, solve_cell
 
 CONFIRM_TOL = 0.05   # largest barrier diagonal along a candidate's own trace
 
@@ -165,10 +165,7 @@ class SweepReport:
     lip_records: list[float]
     semiconvexity_records: list[float]
     anchor_values: list[float]
-    solutions: list[ViscousSolution] = field(default_factory=list)
     fields: list[BarrierField] = field(default_factory=list)
-    orbits: list[PeriodicOrbit] = field(default_factory=list)
-    curves: list[HessianCurve] = field(default_factory=list)
     barrier_h: np.ndarray | None = None
     predicted: np.ndarray | None = None
 
@@ -177,10 +174,8 @@ class SweepReport:
 class SlopeVerdict:
     slope_fit: float
     lambda_bar: float
-    secants: list[float]
     lower_bound_ok: bool
     fit_ok: bool
-    worst_secant_margin: float
 
     @property
     def ok(self) -> bool:
@@ -197,14 +192,10 @@ def slope_fit(report: SweepReport, slope_tol: float = 0.15) -> SlopeVerdict:
     if len(report.eps_list) < 3:
         raise WeakKamError("slope_fit needs at least three viscosity values")
     lam = report.lambda_bar
-    secants = report.slope_secants
-    lower_ok = all(s >= -lam * (1.0 + slope_tol) for s in secants)
-    margin = min(s + lam * (1.0 + slope_tol) for s in secants)
+    lower_ok = all(s >= -lam * (1.0 + slope_tol) for s in report.slope_secants)
     fit = report.slope_fit
     fit_ok = abs(fit + lam) <= slope_tol * lam
-    return SlopeVerdict(slope_fit=fit, lambda_bar=lam, secants=list(secants),
-                        lower_bound_ok=lower_ok, fit_ok=fit_ok,
-                        worst_secant_margin=margin)
+    return SlopeVerdict(slope_fit=fit, lambda_bar=lam, lower_bound_ok=lower_ok, fit_ok=fit_ok)
 
 
 def _fit_smallest_half(eps_list, c_records):
@@ -235,48 +226,31 @@ def sweep(art: Artifacts, eps_list, grid_tol: float = 0.02,
     if bad:
         raise WeakKamError(f"orbits {bad} failed the barrier-diagonal check")
 
-    curves = art.curves
-    lam_rep = lambda_averages(curves)
+    lam_rep = lambda_averages(art.curves)
     selected = lam_rep.argmin
-    sel_anchor = orbits[selected[0]].anchor.x
-    norm_node = int(round((sel_anchor % 1.0) * grid.nx)) % grid.nx
+    sel_orbit = orbits[selected[0]]
+    norm_node = grid.node(sel_orbit.anchor.x)
 
     solutions = []
     for eps in eps_arr:
         sol = art.solution(eps)
-        solutions.append(replace(sol, phi=sol.phi - sol.phi[norm_node, 0],
-                                 anchor_node=norm_node))
+        solutions.append(replace(sol, phi=sol.phi - sol.phi[norm_node, 0]))
 
     H, _ = barrier_matrix(fields)
     # anchor values of the limit: zero at the selected orbit, the rest read
     # off the smallest-viscosity profile
-    finest = solutions[-1]
-    anchor_values = []
-    for o in orbits:
-        node = int(round((o.anchor.x % 1.0) * grid.nx)) % grid.nx
-        anchor_values.append(float(finest.phi[node, 0]))
+    anchor_values = solutions[-1].phi[grid.node([o.anchor.x for o in orbits]), 0].tolist()
     anchor_values[selected[0]] = 0.0
     predicted = predicted_limit(anchor_values, fields, selected, H, grid_tol=grid_tol)
 
     limit_errors = [float(np.max(np.abs(s.phi - predicted))) for s in solutions]
 
     # gradient mismatch on a band of 5 cells each side of the selected orbit
-    nx, nt = grid.nx, grid.nt
-    dx = grid.dx
-    def centered_grad(f):
-        return (np.roll(f, -1, axis=0) - np.roll(f, 1, axis=0)) / (2 * dx)
-    gpred = centered_grad(predicted)
-    sel_orbit = orbits[selected[0]]
-    grad_errors = []
-    for s in solutions:
-        gsol = centered_grad(s.phi)
-        worst = 0.0
-        for j in range(nt):
-            xo = float(sel_orbit.position(j / nt) % 1.0)
-            i0 = int(round(xo * nx)) % nx
-            idx = (i0 + np.arange(-5, 6)) % nx
-            worst = max(worst, float(np.max(np.abs(gsol[idx, j] - gpred[idx, j]))))
-        grad_errors.append(worst)
+    xs, cols = grid.trace(sel_orbit, grid.nt)
+    band = (grid.node(xs)[:, None] + np.arange(-5, 6)) % grid.nx, cols[:, None]
+    gpred = centered_gradient(predicted, grid.dx)[band]
+    grad_errors = [float(np.max(np.abs(centered_gradient(s.phi, grid.dx)[band] - gpred)))
+                   for s in solutions]
 
     secants = [(s.c_eps - c0) / s.epsilon for s in solutions]
     fit = _fit_smallest_half(eps_arr, [s.c_eps for s in solutions])
@@ -296,10 +270,7 @@ def sweep(art: Artifacts, eps_list, grid_tol: float = 0.02,
         lip_records=[s.lip_x for s in solutions],
         semiconvexity_records=[s.semiconvexity_const for s in solutions],
         anchor_values=anchor_values,
-        solutions=solutions,
         fields=fields,
-        orbits=orbits,
-        curves=curves,
         barrier_h=H,
         predicted=predicted,
     )
@@ -310,7 +281,6 @@ class RescaleReport:
     N: int
     vacuous: bool
     barrier_identity_error: float
-    worst_node: tuple
     lambda_errors: list[float]
     c_original: float
     c_rescaled: float
@@ -337,15 +307,13 @@ def rescale_check(art: Artifacts) -> RescaleReport:
     N = orbit_window(orbits)
     if N == 1:
         return RescaleReport(N=1, vacuous=True, barrier_identity_error=0.0,
-                             worst_node=(), lambda_errors=[], c_original=0.0,
-                             c_rescaled=0.0)
+                             lambda_errors=[], c_original=0.0, c_rescaled=0.0)
     rmodel = art.model.rescaled(N)
     rescaled = Artifacts(rmodel, GridSpec(grid.nx, grid.nt * N), vmax=art.vmax * N,
                          barrier_tol=art.barrier_tol, max_sweeps=art.max_sweeps)
     shoot_tol = max(art.shoot_tol, 1e-5)
 
     worst_err = 0.0
-    worst_node = ()
     lambda_errors = []
     for orbit, field0, curve0 in zip(orbits, art.fields, art.curves):
         rfields = []
@@ -362,14 +330,9 @@ def rescale_check(art: Artifacts) -> RescaleReport:
         stack = np.stack([f.h for f in rfields])
         rescaled_min = N * np.min(stack, axis=0)
         # original substep s maps to rescaled substep s (rescaled grid is N x finer in phase)
-        for s in range(grid.nt):
-            err_col = np.abs(field0.h[:, s] - rescaled_min[:, s])
-            m = float(np.max(err_col))
-            if m > worst_err:
-                worst_err = m
-                worst_node = (int(np.argmax(err_col)), s)
+        worst_err = max(worst_err, float(np.max(np.abs(field0.h - rescaled_min[:, :grid.nt]))))
     return RescaleReport(N=N, vacuous=False, barrier_identity_error=worst_err,
-                         worst_node=worst_node, lambda_errors=lambda_errors,
+                         lambda_errors=lambda_errors,
                          c_original=art.critical.c,
                          c_rescaled=rescaled.critical.c)
 

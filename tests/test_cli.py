@@ -306,6 +306,25 @@ def test_negative_seed_override_names_field(tmp_path, capsys):
     assert "stochastic.seed" in capsys.readouterr().err
 
 
+def test_seed_override_without_stochastic_block_is_not_a_stochastic_config(tmp_path, capsys):
+    # --seed must not create the block: the stage refuses it as without the flag
+    path = write_config(tmp_path, grid={"nx": 32, "nt": 8})
+    for extra in ([], ["--seed", "5"]):
+        assert main(["--config", str(path), "--command", "stochastic", *extra]) == 1
+        assert "config error at 'stochastic'" in capsys.readouterr().err
+
+
+def test_seed_override_without_stochastic_block_keeps_the_artifact(tmp_path):
+    path = write_config(tmp_path, grid={"nx": 32, "nt": 8})
+    plain, seeded = tmp_path / "plain", tmp_path / "seeded"
+    assert main(["--config", str(path), "--command", "critical", "--out", str(plain)]) == 0
+    assert main(["--config", str(path), "--command", "critical", "--out", str(seeded),
+                 "--seed", "5"]) == 0
+    (a,), (b,) = plain.glob("critical_*.json"), seeded.glob("critical_*.json")
+    assert a.name == b.name
+    assert json.loads(a.read_text())["config"] == json.loads(b.read_text())["config"]
+
+
 def test_full_config_is_valid():
     validate_config(copy.deepcopy(FULL_CONFIG))
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from weakkam.errors import ConfigError, WeakKamError
 from weakkam.model import HamiltonianModel, PotentialSpec, benchmark_potential
@@ -247,6 +248,78 @@ def test_anchor_off_grid_lookup(bench_small_setup):
     f_bad = dataclasses.replace(f0, anchor_x=math.nan)
     with pytest.raises(WeakKamError):
         action_potential_pair(f_bad, f2)
+
+
+def nearest_node(x, nx):
+    return int(round((x % 1.0) * nx)) % nx
+
+
+@st.composite
+def circle_points(draw):
+    """(nx, points) with half-cell ties, node points, negatives and values just below 1."""
+    nx = draw(st.integers(2, 1024))
+    cell = st.integers(-3 * nx, 3 * nx)
+    x = st.one_of(st.floats(-1e3, 1e3), cell.map(lambda k: (k + 0.5) / nx),
+                  cell.map(lambda k: k / nx),
+                  st.sampled_from([math.nextafter(1.0, 0.0), 1.0 - 1e-12, -1e-300,
+                                   -math.nextafter(1.0, 0.0), 0.5 / nx, 1.0 - 0.5 / nx]))
+    return nx, draw(st.lists(x, min_size=1, max_size=20))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=circle_points())
+@example(case=(4, [0.125, 0.375, -0.125, 0.875, 1.0 - 1e-17]))
+@example(case=(1024, [math.nextafter(1.0, 0.0), -0.5 / 1024, 1023.5 / 1024]))
+def test_node_is_the_nearest_node_lookup(case):
+    nx, xs = case
+    grid = GridSpec(nx, 1)
+    for x in xs:
+        node = grid.node(x)
+        assert type(node) is int and node == nearest_node(x, nx)
+    assert grid.node(np.array(xs)).tolist() == [nearest_node(x, nx) for x in xs]
+
+
+def test_node_refuses_non_finite_positions(bench_small_setup):
+    with pytest.raises(WeakKamError, match="non-finite"):
+        GridSpec(8, 1).node(np.array([0.25, math.inf]))
+    with pytest.raises(WeakKamError, match="non-finite"):
+        anchored_barrier(bench_small_setup["kernels"], bench_small_setup["cv"].c, math.nan,
+                         window=1)
+
+
+def test_trace_is_the_substep_loop(bench_orbits, tw_model):
+    from weakkam.dynamics import aubry_orbits
+
+    tw_orbits = aubry_orbits(tw_model, shoot_tol=1e-5)
+    assert {o.period for o in tw_orbits} == {2}
+    for orbit in bench_orbits + tw_orbits:
+        for grid in (GridSpec(160, 16), GridSpec(400, 64)):
+            n = grid.nt * orbit.period
+            xs, cols = grid.trace(orbit)
+            loop = [float(orbit.position(j / grid.nt) % 1.0) for j in range(n)]
+            assert np.array_equal(xs, loop)
+            assert cols.tolist() == [j % grid.nt for j in range(n)]
+            xs, cols = grid.trace(orbit, grid.nt)
+            assert np.array_equal(xs, loop[:grid.nt]) and cols.tolist() == list(range(grid.nt))
+
+
+def test_orbit_readings_equal_the_substep_loops(bench_model, bench_small_setup, bench_orbits):
+    # aubry_verify and fd_crosscheck read through GridSpec.trace and node;
+    # the per-substep loops they replaced are the reference, to the last bit
+    from weakkam.orbit_hessian import fd_crosscheck, unstable_hessian_curve
+
+    fields = bench_small_setup["fields"]
+    nx, nt = fields[0].grid.nx, fields[0].grid.nt
+    for fld, orbit, res in zip(fields, bench_orbits, aubry_verify(fields, bench_orbits)):
+        xs = [float(orbit.position(j / nt) % 1.0) for j in range(nt * orbit.period)]
+        nodes = [nearest_node(x, nx) for x in xs]
+        assert res.residual == max(abs(float(fld.value_at(x, j % nt))) for j, x in enumerate(xs))
+        rep = fd_crosscheck(fld, orbit, unstable_hessian_curve(bench_model, orbit))
+        for s, fd, _ in rep.table:
+            loop = [(fld.h[(i + s) % nx, j % nt] - 2.0 * fld.h[i, j % nt]
+                     + fld.h[(i - s) % nx, j % nt]) / (s * fld.grid.dx) ** 2
+                    for j, i in enumerate(nodes)]
+            assert fd == float(np.mean(loop))
 
 
 def test_grid_refinement_consistency(tw_model):

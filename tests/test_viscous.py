@@ -85,6 +85,26 @@ def test_residual_check_scales_with_cell_tol(bench_model):
     assert res[5e-5] <= res[1e-4] + 1e-12
 
 
+def test_residual_check_marches_one_period(tw_model, monkeypatch):
+    import weakkam.viscous as viscous
+
+    sol = solve_cell(tw_model, 0.025, GridSpec(64, 8))
+    march = viscous._march_period
+    # the stored end state is the last period re-marched from its first snapshot
+    again = march(tw_model, sol.reversed_snaps[:, 0], sol.n_periods - 1, sol.grid, sol.m_sub,
+                  sol.ds, sol.epsilon, sol.lip_cap, np.empty_like(sol.reversed_snaps))
+    assert np.array_equal(again, sol.end_state)
+    starts = []
+
+    def counted(model, chi, S, *args):
+        starts.append(S)
+        return march(model, chi, S, *args)
+
+    monkeypatch.setattr(viscous, "_march_period", counted)
+    assert residual_check(tw_model, sol) <= 10 * 1e-6
+    assert starts == [sol.n_periods]
+
+
 def test_cfl_guard():
     m = HamiltonianModel(family="mechanical")
     with pytest.raises(ConfigError):
