@@ -9,6 +9,7 @@ or configuration error.
 from __future__ import annotations
 
 import argparse
+from dataclasses import asdict
 import hashlib
 import json
 import sys
@@ -21,26 +22,14 @@ from .errors import ConfigError, WeakKamError, config_number
 from .model import model_from_config, verify_hypotheses
 from .orbit_hessian import lambda_averages
 # critical_value and solve_cell run inside Artifacts; they stay importable from here
-from .variational import GridSpec, aubry_verify, barrier_matrix, critical_value  # noqa: F401
+from .variational import (GridSpec, Numerics, aubry_verify, barrier_matrix,  # noqa: F401
+                          critical_value)
 from .viscous import residual_check, solve_cell  # noqa: F401
 from .vv_analysis import Artifacts, example_verify, rescale_check, slope_fit, sweep
 from .stochastic import DriftField, exit_time_scaling, lax_residual
 
 COMMANDS = ("orbits", "critical", "barrier", "viscous", "sweep", "rescale",
             "example", "stochastic", "all")
-
-DEFAULT_NUMERICS = {
-    "vmax": 4.0,
-    "cell_tol": 1e-6,
-    "barrier_tol": 1e-7,
-    "shoot_tol": 1e-10,
-    "slope_tol": 0.15,
-    "grid_tol": 0.02,
-    "aubry_tol": 0.02,
-    "lip_cap": 4.0,
-    "max_sweeps": 400,
-    "max_periods": 600,
-}
 
 
 # the keys each config block may carry, by dotted path ("" is the top level)
@@ -49,12 +38,13 @@ CONFIG_KEYS = {
     "model": ("family", "potential", "momentum_shift", "wind", "growth_constant"),
     "model.potential": ("terms",),
     "grid": ("nx", "nt"),
-    "numerics": tuple(DEFAULT_NUMERICS),
+    "numerics": tuple(asdict(Numerics())),
     "sweep": ("eps_list",),
     "stochastic": ("n_paths", "dt", "delta", "kappa", "seed", "eps_list"),
     "output": ("directory", "formats"),
 }
 OUTPUT_FORMATS = ("json", "csv")
+SEED_LIMIT = 2 ** 63   # a path's Philox key is seed plus a small offset, as a uint64
 
 
 def _require(cond, message, field):
@@ -85,6 +75,12 @@ def _number_field(block, key, prefix, integer=False, least=None):
         _require(value >= least, f"{field} must be at least {least}", field)
 
 
+def _seed(value):
+    """Check a stochastic.seed, from the config or from --seed."""
+    _number_field({"seed": value}, "seed", "stochastic", integer=True, least=0)
+    _require(value < SEED_LIMIT, "stochastic.seed must be below 2**63", "stochastic.seed")
+
+
 def _eps_list(values, field):
     _require(isinstance(values, list), f"{field} must be a list", field)
     _require(all(config_number(e, field) > 0 for e in values),
@@ -94,7 +90,11 @@ def _eps_list(values, field):
 
 
 def validate_config(cfg: dict) -> dict:
-    """Schema checks; raises ConfigError naming the offending field path."""
+    """Schema checks; raises ConfigError naming the offending field path.
+
+    Returns a copy of ``cfg`` with the ``numerics`` block filled in from the
+    defaults of ``Numerics``; written values stay as written (``400.0`` too).
+    """
     _block(cfg, "")
     for name in ("model", "grid"):
         _require(name in cfg, f"missing {name} block", name)
@@ -105,8 +105,9 @@ def validate_config(cfg: dict) -> dict:
     _require("nx" in grid and "nt" in grid, "grid block must carry nx and nt", "grid")
     _number_field(grid, "nx", "grid", integer=True, least=2)
     _number_field(grid, "nt", "grid", integer=True)
-    numerics = {**DEFAULT_NUMERICS, **_block(cfg, "numerics")}
-    for key, default in DEFAULT_NUMERICS.items():
+    defaults = asdict(Numerics())
+    numerics = {**defaults, **_block(cfg, "numerics")}
+    for key, default in defaults.items():
         _number_field(numerics, key, "numerics", integer=isinstance(default, int))
     eps_list = _block(cfg, "sweep").get("eps_list", [])
     _eps_list(eps_list, "sweep.eps_list")
@@ -116,7 +117,7 @@ def validate_config(cfg: dict) -> dict:
             _require(key in stoch, f"stochastic.{key} missing", f"stochastic.{key}")
             _number_field(stoch, key, "stochastic", integer=key == "n_paths")
         if "seed" in stoch:
-            _number_field(stoch, "seed", "stochastic", integer=True, least=0)
+            _seed(stoch["seed"])
         _eps_list(stoch.get("eps_list", eps_list), "stochastic.eps_list")
     output = _block(cfg, "output")
     _require(isinstance(output.get("directory", ""), str),
@@ -148,12 +149,8 @@ def _json_ready(obj):
         return {k: _json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_json_ready(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_json_ready(v) for v in obj.tolist()]
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
     return obj
 
 
@@ -203,13 +200,9 @@ class _Pipeline(Artifacts):
 
     def __init__(self, cfg: dict):
         self.cfg = cfg
-        self.numerics = n = cfg["numerics"]
-        super().__init__(
-            model_from_config(cfg["model"]),
-            GridSpec(int(cfg["grid"]["nx"]), int(cfg["grid"]["nt"])),
-            vmax=n["vmax"], shoot_tol=n["shoot_tol"], barrier_tol=n["barrier_tol"],
-            max_sweeps=int(n["max_sweeps"]), cell_tol=n["cell_tol"],
-            max_periods=int(n["max_periods"]), lip_cap=n["lip_cap"])
+        super().__init__(model_from_config(cfg["model"]),
+                         GridSpec(int(cfg["grid"]["nx"]), int(cfg["grid"]["nt"])),
+                         Numerics(**cfg["numerics"]))
 
     # ---- stages -----------------------------------------------------------
     def stage_orbits(self):
@@ -240,8 +233,7 @@ class _Pipeline(Artifacts):
 
     def stage_barrier(self):
         fields = self.fields
-        residuals = aubry_verify(fields, self.orbits,
-                                 aubry_tol=self.numerics["aubry_tol"])
+        residuals = aubry_verify(fields, self.orbits, aubry_tol=self.numerics.aubry_tol)
         H, Phi = barrier_matrix(fields)
         tables = {f"anchor{i}": _grid_table(self.grid, h=fld.h, phi_pot=fld.phi_pot)
                   for i, fld in enumerate(fields)}
@@ -273,25 +265,22 @@ class _Pipeline(Artifacts):
                             "n_periods": sol.n_periods,
                             "steps_per_period": sol.m_sub * self.grid.nt})
             tables[f"eps{eps}"] = _grid_table(self.grid, phi=sol.phi)
-            ok = ok and res <= 10 * self.numerics["cell_tol"]
+            ok = ok and res <= 10 * self.numerics.cell_tol
         return {"solves": records}, tables, ok
 
     def stage_sweep(self):
         eps_list = self.cfg.get("sweep", {}).get("eps_list", [])
         _require(len(eps_list) >= 3, "sweep needs >= 3 viscosities",
                  "sweep.eps_list")
-        rep = self._timed("sweep", lambda: sweep(
-            self, eps_list, grid_tol=self.numerics["grid_tol"],
-            aubry_tol=self.numerics["aubry_tol"]))
-        verdict = slope_fit(rep, slope_tol=self.numerics["slope_tol"])
+        rep = self._timed("sweep", lambda: sweep(self, eps_list))
+        verdict = slope_fit(rep, slope_tol=self.numerics.slope_tol)
         trend_ok = all(b <= a * 1.10 for a, b in
                        zip(rep.limit_errors, rep.limit_errors[1:]))
         lips, semis = rep.lip_records, rep.semiconvexity_records
         reg_ok = (max(lips) <= 2 * min(lips)
                   and max(semis) <= 2 * max(min(semis), 1e-12))
-        rows = [(e, c, s, le, ge, l, sc) for e, c, s, le, ge, l, sc in zip(
-            rep.eps_list, rep.c_records, rep.slope_secants, rep.limit_errors,
-            rep.grad_errors, lips, semis)]
+        rows = list(zip(rep.eps_list, rep.c_records, rep.slope_secants, rep.limit_errors,
+                        rep.grad_errors, lips, semis))
         tables = {"sweep": (("epsilon", "c_eps", "secant", "limit_error",
                              "grad_error", "lip_x", "semiconvexity_const"), rows)}
         results = {
@@ -323,7 +312,7 @@ class _Pipeline(Artifacts):
             "lambda_errors": rep.lambda_errors,
             "c_original": rep.c_original, "c_rescaled": rep.c_rescaled,
         }
-        return results, {}, rep.ok(barrier_tol=self.numerics["grid_tol"])
+        return results, {}, rep.ok(grid_tol=self.numerics.grid_tol)
 
     def stage_example(self):
         _require(self.model.family == "traveling_wave",
@@ -408,8 +397,7 @@ def run_config(path: str, command: str, out_dir: str | None = None,
     try:
         cfg = load_config(path)
         if seed_override is not None:
-            _number_field({"seed": seed_override}, "seed", "stochastic", integer=True,
-                          least=0)
+            _seed(seed_override)
     except ConfigError as exc:
         print(f"config error at '{exc.field}': {exc}", file=sys.stderr)
         return 1

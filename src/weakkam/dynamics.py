@@ -26,6 +26,7 @@ from scipy.optimize import brentq
 
 from .errors import IntegrationError, NumericalQualityError, OrbitNotFoundError, WeakKamError
 from .model import HamiltonianModel
+from .variational import Numerics
 
 MAX_STEP = 1e-3       # largest RK4 step
 MAX_NEWTON = 25       # Newton iterations of the shooting
@@ -164,7 +165,7 @@ def integrate(model: HamiltonianModel, start: PhasePoint, duration: float,
 
 
 def find_periodic_orbit(model: HamiltonianModel, seed: PhasePoint, period: int,
-                        winding: int = 0, shoot_tol: float = 1e-10) -> PeriodicOrbit:
+                        winding: int = 0, shoot_tol: float = Numerics.shoot_tol) -> PeriodicOrbit:
     """Newton shooting for an orbit of integer ``period`` and spatial ``winding``.
 
     The corrected quantity is the time-N return-map residual
@@ -321,7 +322,8 @@ def potential_maxima(model: HamiltonianModel) -> list[float]:
     return sorted(maxima)
 
 
-def aubry_orbits(model: HamiltonianModel, shoot_tol: float = 1e-10) -> list[PeriodicOrbit]:
+def aubry_orbits(model: HamiltonianModel,
+                 shoot_tol: float = Numerics.shoot_tol) -> list[PeriodicOrbit]:
     """Candidate orbits of the projected Aubry set, one per maximum of the cell.
 
     In the frame moving with V (x + w t fixed) each orbit rests at a

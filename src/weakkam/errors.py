@@ -1,6 +1,6 @@
 """Exception hierarchy shared across the toolkit."""
 
-import math
+import sys
 
 
 class WeakKamError(Exception):
@@ -19,10 +19,11 @@ def config_number(value, field, integer=False):
     """A config entry that must be a finite JSON number (integral if ``integer``).
 
     Returns it as a float, or an int when ``integer``; anything else (a string,
-    None, a list, a boolean, nan or inf) is a ConfigError naming ``field``.
+    None, a list, a boolean, nan, inf or past the float range) is a ConfigError
+    naming ``field``.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not math.isfinite(value):
+            or not abs(value) <= sys.float_info.max:
         raise ConfigError(f"{field} must be a finite number, got {value!r}", field=field)
     if integer:
         if value != int(value):

@@ -40,6 +40,7 @@ TRAVELING_WAVE = "traveling_wave"
 FAMILIES = (MECHANICAL, SHIFTED_KINETIC, TRAVELING_WAVE)
 
 TWO_PI = 2.0 * math.pi
+CONVEXITY_FLOOR = 1e-8   # least H_pp of a convex model
 
 
 def _is_scalar(v) -> bool:
@@ -171,7 +172,6 @@ class HamiltonianModel:
     momentum_shift: float = 0.0
     wind: int = 1
     growth_constant: float = 8.0
-    convexity_floor: float = 1e-8
     N: int = 1
     mass: float = field(init=False)
     momentum_offset: float = field(init=False)
@@ -323,7 +323,7 @@ def verify_hypotheses(model: HamiltonianModel) -> HypothesisReport:
         space_period_residual=res_space,
         time_period_residual=res_time,
         cell_period_residual=res_cell,
-        convexity_ok=min_hpp >= model.convexity_floor,
+        convexity_ok=min_hpp >= CONVEXITY_FLOOR,
         growth_ok=growth_min >= -1e-12,
         periodicity_ok=max(res_space, res_time, res_cell) <= 1e-12,
     )

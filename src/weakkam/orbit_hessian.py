@@ -25,7 +25,6 @@ FD_BASE_STEP = 2     # cells each side of the base stencil of fd_crosscheck
 class HessianCurve:
     """Graph slope P(t) = D^2_x h(orbit(t)) sampled along one period."""
 
-    orbit_ref: int
     times: np.ndarray
     P: np.ndarray
     lambda_i: float
@@ -33,7 +32,7 @@ class HessianCurve:
     periodicity_gap: float
 
 
-def unstable_hessian_curve(model, orbit: PeriodicOrbit, orbit_ref: int = -1) -> HessianCurve:
+def unstable_hessian_curve(model, orbit: PeriodicOrbit) -> HessianCurve:
     """Propagate the unstable monodromy eigenvector; read the graph slope.
 
     lambda_i is the period average of trace P; for the built-in families it
@@ -70,7 +69,7 @@ def unstable_hessian_curve(model, orbit: PeriodicOrbit, orbit_ref: int = -1) -> 
     jets = model.jet(traj.x[1:-1], traj.p[1:-1], times[1:-1])
     mid = P[1:-1]
     res = dP + jets.H_xx + 2.0 * jets.H_xp * mid + jets.H_pp * mid * mid
-    return HessianCurve(orbit_ref=orbit_ref, times=times, P=P, lambda_i=lam,
+    return HessianCurve(times=times, P=P, lambda_i=lam,
                         riccati_residual=float(np.max(np.abs(res))),
                         periodicity_gap=gap)
 

@@ -20,6 +20,7 @@ the allowed displacements.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 import math
 
@@ -82,6 +83,28 @@ class GridSpec:
         return orbit.position(j / self.nt) % 1.0, j % self.nt
 
 
+@dataclass(frozen=True)
+class Numerics:
+    """A run's ten numerical settings (the config's ``numerics`` block) and
+    their defaults; the two counts are held as ``int``."""
+
+    vmax: float = 4.0            # velocity cap of the action kernels
+    cell_tol: float = 1e-6       # periodicity residual of the viscous cell problem
+    barrier_tol: float = 1e-7    # window oscillation of a settled barrier
+    shoot_tol: float = 1e-10     # return-map residual of a periodic orbit
+    slope_tol: float = 0.15      # relative slack of the slope law
+    grid_tol: float = 0.02       # grid slack of barrier identities and compatibility
+    aubry_tol: float = 0.02      # barrier diagonal along an Aubry orbit
+    lip_cap: float = 4.0         # a-priori gradient bound of the viscous profile
+    max_sweeps: int = 400        # barrier sweeps before giving up
+    max_periods: int = 600       # viscous periods before giving up
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            if isinstance(f.default, int):
+                object.__setattr__(self, f.name, int(getattr(self, f.name)))
+
+
 @dataclass
 class ActionKernelSet:
     """Substep cost tables K_j[d, a] for moves node a -> a + offsets[d]."""
@@ -102,7 +125,7 @@ class ActionKernelSet:
         return (np.arange(nx)[None, :] + self.offsets[:, None]) % nx
 
 
-def build_kernels(model, grid: GridSpec, vmax: float = 4.0) -> ActionKernelSet:
+def build_kernels(model, grid: GridSpec, vmax: float = Numerics.vmax) -> ActionKernelSet:
     """Cost tables K_j(a -> b) = L(x_mid, v, t_mid)/nt for |v| <= vmax.
 
     The potential is sampled at the segment midpoint (second order, without a
@@ -283,7 +306,6 @@ class BarrierField:
     window_osc: float
     n_sweeps: int
     osc_trace: list = field(default_factory=list)
-    orbit_ref: int = -1
 
     def value_at(self, x, j):
         """Linear interpolation of the barrier h along x at substep column(s) j."""
@@ -295,9 +317,9 @@ class BarrierField:
 
 
 def anchored_barrier(kernels: ActionKernelSet, c: float, anchor_x: float,
-                     window: int, barrier_tol: float = 1e-7,
-                     max_sweeps: int = 400, min_sweeps: int | None = None,
-                     orbit_ref: int = -1) -> BarrierField:
+                     window: int, barrier_tol: float = Numerics.barrier_tol,
+                     max_sweeps: int = Numerics.max_sweeps,
+                     min_sweeps: int | None = None) -> BarrierField:
     """Backward value iteration from an indicator seed at the anchor.
 
     Each sweep propagates the cost-to-anchor field through one more whole
@@ -361,7 +383,7 @@ def anchored_barrier(kernels: ActionKernelSet, c: float, anchor_x: float,
 
     return BarrierField(anchor_x=anchor_x, grid=grid, h=h_prev, phi_pot=phi,
                         window_osc=window_osc, n_sweeps=n_sweeps,
-                        osc_trace=osc_trace, orbit_ref=orbit_ref)
+                        osc_trace=osc_trace)
 
 
 def action_potential_pair(field_i: BarrierField, field_j: BarrierField):
@@ -389,7 +411,6 @@ def barrier_matrix(fields: list[BarrierField]):
 
 @dataclass
 class AubryResidual:
-    orbit_ref: int
     residual: float
     tol: float
 
@@ -398,7 +419,7 @@ class AubryResidual:
         return self.residual <= self.tol
 
 
-def aubry_verify(fields: list[BarrierField], orbits, aubry_tol: float = 0.02):
+def aubry_verify(fields: list[BarrierField], orbits, aubry_tol: float = Numerics.aubry_tol):
     """Barrier diagonal along each candidate orbit's own trace.
 
     For orbit i the residual is max over substep samples (x(t), [t]) of
@@ -407,7 +428,6 @@ def aubry_verify(fields: list[BarrierField], orbits, aubry_tol: float = 0.02):
     out = []
     for fld, orbit in zip(fields, orbits):
         vals = fld.value_at(*fld.grid.trace(orbit))
-        out.append(AubryResidual(orbit_ref=fld.orbit_ref, residual=float(np.max(np.abs(vals))),
-                                 tol=aubry_tol))
+        out.append(AubryResidual(residual=float(np.max(np.abs(vals))), tol=aubry_tol))
     return out
 

@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError, NumericalQualityError
-from .variational import GridSpec
+from .variational import GridSpec, Numerics
 
 MAX_SUBSTEPS = 200_000
 
@@ -53,7 +53,7 @@ class ViscousSolution:
     residual_history: list = field(default_factory=list)
     reversed_snaps: np.ndarray | None = None   # final-period state at substep phases
     end_state: np.ndarray | None = None        # reversed state at s = n_periods
-    lip_cap: float = 4.0
+    lip_cap: float = Numerics.lip_cap
 
 
 def _step(chi: np.ndarray, w: np.ndarray, ds: float, dx: float, eps: float,
@@ -79,7 +79,7 @@ def _step(chi: np.ndarray, w: np.ndarray, ds: float, dx: float, eps: float,
     return chi + ds * (eps * lap + h_num)
 
 
-def step_operator(model, chi, tau, ds, grid: GridSpec, eps, lip_cap=4.0):
+def step_operator(model, chi, tau, ds, grid: GridSpec, eps, lip_cap=Numerics.lip_cap):
     """Public single-step wrapper (used by monotonicity spot checks)."""
     b = model.momentum_offset
     w = model.potential_value(grid.nodes(), tau)
@@ -115,8 +115,8 @@ def cfl_timestep(grid: GridSpec, eps: float, alpha_max: float) -> float:
     return 0.45 * min(dx * dx / (2.0 * eps), dx / alpha_max)
 
 
-def solve_cell(model, epsilon: float, grid: GridSpec, cell_tol: float = 1e-6,
-               max_periods: int = 600, lip_cap: float = 4.0,
+def solve_cell(model, epsilon: float, grid: GridSpec, cell_tol: float = Numerics.cell_tol,
+               max_periods: int = Numerics.max_periods, lip_cap: float = Numerics.lip_cap,
                normalize_node: int = 0, initial_offset: float = 0.0) -> ViscousSolution:
     """Long-time integration of the reversed evolution until time-periodicity.
 
@@ -172,12 +172,10 @@ def solve_cell(model, epsilon: float, grid: GridSpec, cell_tol: float = 1e-6,
             f"c(eps)={c_est:.8f} violates the resting-Hamiltonian bracket "
             f"[{h0.min():.8f}, {h0.max():.8f}]")
 
-    # map the final reversed period back to forward time and normalize
-    S = period  # snapshots taken at s = S + j/nt
-    phi = np.empty((nx, nt))
-    for jprime in range(nt):
-        jfwd = (nt - jprime) % nt
-        phi[:, jfwd] = prev_snaps[:, jprime] - c_est * (S + jprime / nt)
+    # map the final reversed period back to forward time and normalize: the
+    # snapshot at s = period + j/nt, drift removed, is forward column (nt - j) % nt
+    j = np.arange(nt)
+    phi = (prev_snaps - c_est * (period + j / nt))[:, (nt - j) % nt]
     phi -= phi[normalize_node, 0]
 
     lip = lipschitz_constant(phi, dx)

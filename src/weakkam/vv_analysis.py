@@ -10,9 +10,10 @@ flow H_N(x, p, t) = H(x, Np, Nt) packs N original periods.
 Everything these checks read off one grid -- the confirmed Aubry orbits, the
 kernels, c(0), the anchored barriers, the Hessian curves and the viscous
 solutions -- is built once per run by ``Artifacts``, which also carries the
-model, the grid and the numerics they are built with.  ``sweep``,
+model, the grid and the ``Numerics`` record they are built with.  ``sweep``,
 ``rescale_check`` and ``example_verify`` each take one and read what they
-need from it; the CLI pipeline is one.
+need from it, tolerances included; the CLI pipeline is one.  Their companion
+builds (the rescaled and the autonomous model) take the same record.
 """
 
 from __future__ import annotations
@@ -30,29 +31,28 @@ from .dynamics import (PeriodicOrbit, PhasePoint, aubry_orbits, find_periodic_or
 from .model import MECHANICAL, HamiltonianModel
 from .orbit_hessian import (HessianCurve, fd_crosscheck, lambda_averages,
                             unstable_hessian_curve)
-from .variational import (BarrierField, CriticalValueResult, GridSpec, anchored_barrier,
-                          aubry_verify, barrier_matrix, build_kernels, critical_value)
+from .variational import (BarrierField, CriticalValueResult, GridSpec, Numerics,
+                          anchored_barrier, aubry_verify, barrier_matrix, build_kernels,
+                          critical_value)
 from .viscous import ViscousSolution, centered_gradient, solve_cell
 
 CONFIRM_TOL = 0.05   # largest barrier diagonal along a candidate's own trace
 
 
 class Artifacts:
-    """A run's model, grid and numerics, and the objects built from them.
+    """A run's model, grid and ``Numerics``, and the objects built from them.
 
-    Each object is built once, when first asked for.  ``orbits`` are the
+    Every build reads its settings from the one ``numerics`` record.  Each
+    object is built once, when first asked for.  ``orbits`` are the
     candidates of ``aubry_orbits`` whose own anchored barrier vanishes along
     their trace (to ``CONFIRM_TOL``), and ``fields`` are those barriers, over
     the window of the candidates' periods; ``solution(eps)`` is the viscous
     solution normalized at node 0.  ``wall`` holds the seconds each build took.
     """
 
-    def __init__(self, model: HamiltonianModel, grid: GridSpec, vmax: float = 4.0,
-                 shoot_tol: float = 1e-10, barrier_tol: float = 1e-7, max_sweeps: int = 400,
-                 cell_tol: float = 1e-6, max_periods: int = 600, lip_cap: float = 4.0):
-        self.model, self.grid, self.vmax = model, grid, vmax
-        self.shoot_tol, self.barrier_tol, self.max_sweeps = shoot_tol, barrier_tol, max_sweeps
-        self.cell_tol, self.max_periods, self.lip_cap = cell_tol, max_periods, lip_cap
+    def __init__(self, model: HamiltonianModel, grid: GridSpec,
+                 numerics: Numerics = Numerics()):
+        self.model, self.grid, self.numerics = model, grid, numerics
         self.wall: dict[str, float] = {}
         self._solutions: dict[float, ViscousSolution] = {}
 
@@ -64,30 +64,30 @@ class Artifacts:
 
     @cached_property
     def kernels(self):
-        return self._timed("kernels", lambda: build_kernels(self.model, self.grid,
-                                                             vmax=self.vmax))
+        return self._timed("kernels", lambda: build_kernels(
+            self.model, self.grid, vmax=self.numerics.vmax))
 
     @cached_property
     def critical(self) -> CriticalValueResult:
         return self._timed("critical", lambda: critical_value(self.kernels))
 
-    def barrier(self, anchor_x: float, window: int, orbit_ref: int = -1) -> BarrierField:
+    def barrier(self, anchor_x: float, window: int) -> BarrierField:
+        n = self.numerics
         return anchored_barrier(self.kernels, self.critical.c, anchor_x, window=window,
-                                barrier_tol=self.barrier_tol, max_sweeps=self.max_sweeps,
-                                orbit_ref=orbit_ref)
+                                barrier_tol=n.barrier_tol, max_sweeps=n.max_sweeps)
 
     @cached_property
     def _confirmed(self):
-        candidates = self._timed("orbits", lambda: aubry_orbits(self.model,
-                                                                shoot_tol=self.shoot_tol))
+        candidates = self._timed("orbits", lambda: aubry_orbits(
+            self.model, shoot_tol=self.numerics.shoot_tol))
         window = orbit_window(candidates)
         fields = self._timed("barriers", lambda: [
-            self.barrier(o.anchor.x, window, orbit_ref=i) for i, o in enumerate(candidates)])
+            self.barrier(o.anchor.x, window) for o in candidates])
         verdicts = aubry_verify(fields, candidates, aubry_tol=CONFIRM_TOL)
         kept = [(o, f) for o, f, r in zip(candidates, fields, verdicts) if r.ok]
         if not kept:
             raise WeakKamError("no Aubry orbit candidates survived")
-        return [o for o, _ in kept], [replace(f, orbit_ref=i) for i, (_, f) in enumerate(kept)]
+        return [o for o, _ in kept], [f for _, f in kept]
 
     @property
     def orbits(self) -> list[PeriodicOrbit]:
@@ -99,54 +99,48 @@ class Artifacts:
 
     @cached_property
     def curves(self) -> list[HessianCurve]:
-        return [unstable_hessian_curve(self.model, o, orbit_ref=i)
-                for i, o in enumerate(self.orbits)]
+        return [unstable_hessian_curve(self.model, o) for o in self.orbits]
 
     def solution(self, eps: float) -> ViscousSolution:
         eps = float(eps)
         if eps not in self._solutions:
+            n = self.numerics
             self._solutions[eps] = self._timed(f"viscous_{eps}", lambda: solve_cell(
-                self.model, eps, self.grid, cell_tol=self.cell_tol,
-                max_periods=self.max_periods, lip_cap=self.lip_cap))
+                self.model, eps, self.grid, cell_tol=n.cell_tol,
+                max_periods=n.max_periods, lip_cap=n.lip_cap))
         return self._solutions[eps]
 
 
 def predicted_limit(anchor_values, fields: list[BarrierField], argmin: list[int],
-                    H: np.ndarray, grid_tol: float = 0.02) -> np.ndarray:
+                    H: np.ndarray, grid_tol: float = Numerics.grid_tol) -> np.ndarray:
     """phi0 = max over minimizing orbits of (anchor value - barrier field).
 
     Anchor values must satisfy the compatibility bound
     value_j - value_i <= h(anchor_i, anchor_j) + grid_tol for all pairs.
     """
     values = np.asarray(anchor_values, dtype=float)
-    m = len(fields)
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            if values[j] - values[i] > H[i, j] + grid_tol:
-                raise CompatibilityError(
-                    f"anchor values incompatible: value[{j}] - value[{i}] = "
-                    f"{values[j] - values[i]:.6f} > h({i},{j}) = {H[i, j]:.6f} + tol",
-                    pair=(i, j))
+    broken = values[None, :] - values[:, None] > H + grid_tol
+    np.fill_diagonal(broken, False)
+    if broken.any():
+        i, j = (int(n) for n in np.argwhere(broken)[0])
+        raise CompatibilityError(
+            f"anchor values incompatible: value[{j}] - value[{i}] = "
+            f"{values[j] - values[i]:.6f} > h({i},{j}) = {H[i, j]:.6f} + tol", pair=(i, j))
     stack = [values[i] - fields[i].h for i in argmin]
     return np.maximum.reduce(stack)
 
 
-def local_max_set(anchor_values, H: np.ndarray, grid_tol: float = 0.02) -> list[int]:
+def local_max_set(anchor_values, H: np.ndarray,
+                  grid_tol: float = Numerics.grid_tol) -> list[int]:
     """Indices whose orbit is a local maximum of the represented solution.
 
     Orbit i qualifies when value_i > value_j - h(anchor_i, anchor_j) holds
     strictly (with grid slack) for every j != i.
     """
     values = np.asarray(anchor_values, dtype=float)
-    out = []
-    for i in range(len(values)):
-        ok = all(values[i] > values[j] - H[i, j] - grid_tol
-                 for j in range(len(values)) if j != i)
-        if ok:
-            out.append(i)
-    return out
+    above = values[:, None] > values[None, :] - H - grid_tol
+    np.fill_diagonal(above, True)
+    return [i for i, row in enumerate(above) if row.all()]
 
 
 @dataclass
@@ -182,7 +176,7 @@ class SlopeVerdict:
         return self.lower_bound_ok and self.fit_ok
 
 
-def slope_fit(report: SweepReport, slope_tol: float = 0.15) -> SlopeVerdict:
+def slope_fit(report: SweepReport, slope_tol: float = Numerics.slope_tol) -> SlopeVerdict:
     """Fitted right-derivative of c(eps) at zero against -lambda_bar.
 
     Verdict: every secant obeys the -lambda_bar(1 + tol) lower bound, and the
@@ -208,12 +202,12 @@ def _fit_smallest_half(eps_list, c_records):
     return float(coef[0])
 
 
-def sweep(art: Artifacts, eps_list, grid_tol: float = 0.02,
-          aubry_tol: float = 0.02) -> SweepReport:
+def sweep(art: Artifacts, eps_list) -> SweepReport:
     """Full pipeline: orbits -> c(0) -> barriers -> lambdas -> eps solves -> limits.
 
     The solutions ``art`` holds are normalized at node 0 and are renormalized
-    here at the selected orbit's anchor.
+    here at the selected orbit's anchor; ``grid_tol`` and ``aubry_tol`` are
+    those of ``art.numerics``.
     """
     eps_arr = [float(e) for e in eps_list]
     if any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
@@ -221,8 +215,8 @@ def sweep(art: Artifacts, eps_list, grid_tol: float = 0.02,
 
     grid = art.grid
     orbits, fields, c0 = art.orbits, art.fields, art.critical.c
-    residuals = aubry_verify(fields, orbits, aubry_tol=aubry_tol)
-    bad = [r.orbit_ref for r in residuals if not r.ok]
+    residuals = aubry_verify(fields, orbits, aubry_tol=art.numerics.aubry_tol)
+    bad = [i for i, r in enumerate(residuals) if not r.ok]
     if bad:
         raise WeakKamError(f"orbits {bad} failed the barrier-diagonal check")
 
@@ -241,7 +235,8 @@ def sweep(art: Artifacts, eps_list, grid_tol: float = 0.02,
     # off the smallest-viscosity profile
     anchor_values = solutions[-1].phi[grid.node([o.anchor.x for o in orbits]), 0].tolist()
     anchor_values[selected[0]] = 0.0
-    predicted = predicted_limit(anchor_values, fields, selected, H, grid_tol=grid_tol)
+    predicted = predicted_limit(anchor_values, fields, selected, H,
+                                grid_tol=art.numerics.grid_tol)
 
     limit_errors = [float(np.max(np.abs(s.phi - predicted))) for s in solutions]
 
@@ -285,10 +280,10 @@ class RescaleReport:
     c_original: float
     c_rescaled: float
 
-    def ok(self, barrier_tol: float = 0.02) -> bool:
+    def ok(self, grid_tol: float = Numerics.grid_tol) -> bool:
         if self.vacuous:
             return True
-        return (self.barrier_identity_error <= barrier_tol
+        return (self.barrier_identity_error <= grid_tol
                 and all(e <= 1e-6 for e in self.lambda_errors))
 
 
@@ -301,7 +296,8 @@ def rescale_check(art: Artifacts) -> RescaleReport:
     rescaled averaged Laplacian (compensated by the packing factor N) must
     reproduce lambda_i.  The original barriers, curves and c(0) are those of
     ``art``, whose fields span the window N already; the rescaled model gets
-    its own ``Artifacts`` on nx x (N nt) with the same barrier numerics.
+    its own ``Artifacts`` on nx x (N nt) with the same numerics, the velocity
+    cap scaled by N.
     """
     orbits, grid = art.orbits, art.grid
     N = orbit_window(orbits)
@@ -309,9 +305,9 @@ def rescale_check(art: Artifacts) -> RescaleReport:
         return RescaleReport(N=1, vacuous=True, barrier_identity_error=0.0,
                              lambda_errors=[], c_original=0.0, c_rescaled=0.0)
     rmodel = art.model.rescaled(N)
-    rescaled = Artifacts(rmodel, GridSpec(grid.nx, grid.nt * N), vmax=art.vmax * N,
-                         barrier_tol=art.barrier_tol, max_sweeps=art.max_sweeps)
-    shoot_tol = max(art.shoot_tol, 1e-5)
+    rescaled = Artifacts(rmodel, GridSpec(grid.nx, grid.nt * N),
+                         replace(art.numerics, vmax=art.numerics.vmax * N))
+    shoot_tol = max(art.numerics.shoot_tol, 1e-5)
 
     worst_err = 0.0
     lambda_errors = []
@@ -365,7 +361,7 @@ def example_verify(art: Artifacts) -> ExampleReport:
     (c) the barrier is carried by the wave: h(x, [t], anchor) equals the
     autonomous barrier to the nearest of the k translate anchors evaluated at
     x + t/k.  The orbits, barriers and curves are those of ``art``, and its
-    numerics serve the autonomous companion.
+    ``Numerics`` serve the autonomous companion.
     """
     k, potential, grid = art.model.cells, art.model.potential, art.grid
     orbits = art.orbits
@@ -374,24 +370,23 @@ def example_verify(art: Artifacts) -> ExampleReport:
 
     # autonomous companion on the same grid
     auto = Artifacts(HamiltonianModel(family=MECHANICAL, potential=potential), grid,
-                     vmax=art.vmax, barrier_tol=art.barrier_tol, max_sweeps=art.max_sweeps)
+                     art.numerics)
 
     translate_residual = 0.0
     riccati_errors = []
     fd_deviations = []
     shift_err = 0.0
     expected = []
-    nt = grid.nt
-    nodes = grid.nodes()
+    js = np.arange(k)
+    # wave frame of each (node, substep): x + t/k
+    y = (grid.nodes()[:, None] + grid.substep_times() / k) % 1.0
     for i, orbit in enumerate(orbits):
         lam_true = math.sqrt(-potential.d2(maxima[i]))
         expected.append(lam_true)
         # (a) integer-time positions hit the translates
-        for j in range(k):
-            pos = float(orbit.position(float(j)) % 1.0)
-            want = (maxima[i] - j / k) % 1.0
-            gap = abs(pos - want)
-            translate_residual = max(translate_residual, min(gap, 1.0 - gap))
+        gap = np.abs(orbit.position(js) % 1.0 - (maxima[i] - js / k) % 1.0)
+        translate_residual = max(translate_residual,
+                                 float(np.max(np.minimum(gap, 1.0 - gap))))
         # (b) curvature along the orbit
         curve, fld = art.curves[i], art.fields[i]
         riccati_errors.append(abs(curve.lambda_i - lam_true))
@@ -399,12 +394,8 @@ def example_verify(art: Artifacts) -> ExampleReport:
         fd_deviations.append(abs(rep.fd_value - lam_true) / lam_true)
         # (c) transport consistency against the autonomous field
         afld = auto.barrier(maxima[i], window=1)
-        for j in range(nt):
-            t = j / nt
-            y = (nodes + t / k) % 1.0
-            vals = [afld.value_at((y - jj / k) % 1.0, 0) for jj in range(k)]
-            oracle = np.minimum.reduce(vals)
-            shift_err = max(shift_err, float(np.max(np.abs(fld.h[:, j] - oracle))))
+        oracle = np.min(afld.value_at((y[:, :, None] - js / k) % 1.0, 0), axis=2)
+        shift_err = max(shift_err, float(np.max(np.abs(fld.h - oracle))))
     return ExampleReport(k=k, maxima=maxima, orbit_count_ok=orbit_count_ok,
                          translate_residual=translate_residual,
                          riccati_errors=riccati_errors,

@@ -71,8 +71,7 @@ def bench_small_setup(bench_model):
     grid = GridSpec(200, 32)
     kernels = build_kernels(bench_model, grid)
     cv = critical_value(kernels)
-    fields = [anchored_barrier(kernels, cv.c, a, window=1, orbit_ref=i)
-              for i, a in enumerate((0.0, 0.5))]
+    fields = [anchored_barrier(kernels, cv.c, a, window=1) for a in (0.0, 0.5)]
     return {"grid": grid, "kernels": kernels, "cv": cv, "fields": fields}
 
 

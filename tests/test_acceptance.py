@@ -34,7 +34,7 @@ from weakkam.model import HamiltonianModel, PotentialSpec, benchmark_potential
 from weakkam.orbit_hessian import fd_crosscheck, lambda_averages, unstable_hessian_curve
 from weakkam.stochastic import (DriftField, StaticCenter, exit_time_scaling,
                                 exit_times, lax_residual)
-from weakkam.variational import (GridSpec, anchored_barrier, build_kernels,
+from weakkam.variational import (GridSpec, Numerics, anchored_barrier, build_kernels,
                                  critical_value)
 from weakkam.viscous import solve_cell
 from weakkam.vv_analysis import Artifacts, example_verify, rescale_check, slope_fit, sweep
@@ -62,10 +62,8 @@ def lambda_setup(bench):
     orbits.sort(key=lambda o: o.anchor.x)
     kernels = build_kernels(bench, grid)
     c = critical_value(kernels).c
-    fields = [anchored_barrier(kernels, c, o.anchor.x, window=1, orbit_ref=i)
-              for i, o in enumerate(orbits)]
-    curves = [unstable_hessian_curve(bench, o, orbit_ref=i)
-              for i, o in enumerate(orbits)]
+    fields = [anchored_barrier(kernels, c, o.anchor.x, window=1) for o in orbits]
+    curves = [unstable_hessian_curve(bench, o) for o in orbits]
     elapsed = time.perf_counter() - t0
     return {"grid": grid, "orbits": orbits, "kernels": kernels, "c": c,
             "fields": fields, "curves": curves, "elapsed": elapsed}
@@ -207,7 +205,7 @@ def test_criterion_8_traveling_wave_example():
     t0 = time.perf_counter()
     V = PotentialSpec.from_terms([(0, -0.5, 0.0), (2, 0.5, 0.0)])
     tw = HamiltonianModel(family="traveling_wave", potential=V, wind=2)
-    art = Artifacts(tw, GridSpec(400, 64), shoot_tol=1e-5)
+    art = Artifacts(tw, GridSpec(400, 64), Numerics(shoot_tol=1e-5))
     ex = example_verify(art)
     rc = rescale_check(art)
     elapsed = time.perf_counter() - t0

@@ -1,4 +1,5 @@
 import copy
+from dataclasses import asdict, fields
 import importlib
 import inspect
 import json
@@ -9,9 +10,10 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from weakkam.cli import config_hash, load_config, main, run_config, validate_config
+from weakkam.cli import (_Pipeline, config_hash, load_config, main, run_config,
+                         validate_config)
 from weakkam.errors import ConfigError
-from weakkam.variational import GridSpec
+from weakkam.variational import GridSpec, Numerics
 
 SMALL_MODEL = {
     "family": "mechanical",
@@ -296,7 +298,7 @@ NUMERIC_FIELDS = (
 JUNK = st.one_of(st.text(max_size=6), st.none(), st.booleans(),
                  st.lists(st.one_of(st.integers(), st.floats(), st.text(max_size=3)),
                           max_size=3),
-                 st.sampled_from([math.nan, math.inf, -math.inf]))
+                 st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400]))
 
 
 def test_negative_seed_override_names_field(tmp_path, capsys):
@@ -304,6 +306,46 @@ def test_negative_seed_override_names_field(tmp_path, capsys):
     path = write_config(tmp_path)
     assert run_config(str(path), "critical", seed_override=-1) == 1
     assert "stochastic.seed" in capsys.readouterr().err
+
+
+def test_seed_past_the_philox_key_range_is_a_config_error(tmp_path, capsys):
+    # a path's Philox key is (seed + offset) as a uint64: 2**64 - 1 once died
+    # with an OverflowError at the second exit ensemble
+    stochastic = {"n_paths": 20, "dt": 5e-4, "delta": 0.1, "kappa": 1.0, "seed": 2 ** 64 - 1,
+                  "eps_list": [0.08, 0.04]}
+    path = write_config(tmp_path, grid={"nx": 64, "nt": 8}, stochastic=stochastic)
+    assert main(["--config", str(path), "--command", "stochastic"]) == 1
+    assert "config error at 'stochastic.seed'" in capsys.readouterr().err
+    path = write_config(tmp_path, grid={"nx": 64, "nt": 8},
+                        stochastic={**stochastic, "seed": 1})
+    assert main(["--config", str(path), "--command", "stochastic",
+                 "--seed", "18446744073709551615"]) == 1
+    assert "config error at 'stochastic.seed'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    for seed in (2 ** 63, 1e19):
+        with pytest.raises(ConfigError, match="below 2") as info:
+            validate_config({**FULL_CONFIG, "stochastic": {**stochastic, "seed": seed}})
+        assert info.value.field == "stochastic.seed"
+    validate_config({**FULL_CONFIG, "stochastic": {**stochastic, "seed": 2 ** 63 - 1}})
+
+
+def test_numerics_reach_the_pipeline_record_and_leave_the_config_as_written():
+    written = {**FULL_CONFIG, "numerics": {
+        "vmax": 5.0, "cell_tol": 2e-6, "barrier_tol": 3e-7, "shoot_tol": 1e-9,
+        "slope_tol": 0.2, "grid_tol": 0.03, "aubry_tol": 0.04, "lip_cap": 4.5,
+        "max_sweeps": 400.0, "max_periods": 700}}
+    before = copy.deepcopy(written)
+    cfg = validate_config(written)
+    assert written == before and cfg == before
+    assert config_hash(cfg) == config_hash(before)
+    assert isinstance(cfg["numerics"]["max_sweeps"], float)
+    numerics = _Pipeline(cfg).numerics
+    for f in fields(Numerics):
+        assert getattr(numerics, f.name) == written["numerics"][f.name]
+        assert type(getattr(numerics, f.name)) is type(f.default)
+    bare = validate_config({k: v for k, v in FULL_CONFIG.items() if k != "numerics"})
+    assert bare["numerics"] == asdict(Numerics())
+    assert json.dumps(bare["numerics"]) == json.dumps(asdict(Numerics()))
 
 
 def test_seed_override_without_stochastic_block_is_not_a_stochastic_config(tmp_path, capsys):
@@ -335,6 +377,8 @@ def test_full_config_is_valid():
 @example(entry=(("model", "wind"), "model.wind"), junk="x")
 @example(entry=(("numerics", "vmax"), "numerics.vmax"), junk="fast")
 @example(entry=(("stochastic", "dt"), "stochastic.dt"), junk="x")
+@example(entry=(("grid", "nx"), "grid.nx"), junk=10 ** 400)
+@example(entry=(("stochastic", "seed"), "stochastic.seed"), junk=10 ** 400)
 def test_junk_in_any_numeric_field_names_it(entry, junk):
     path, field = entry
     cfg = copy.deepcopy(FULL_CONFIG)

@@ -170,7 +170,7 @@ def test_aubry_orbits_with_confirmation(bench_model):
     assert sorted(o.anchor.x for o in aubry_orbits(m)) == pytest.approx([0.0, 0.5], abs=1e-9)
     art = Artifacts(m, grid)
     assert [o.anchor.x for o in art.orbits] == pytest.approx([0.0], abs=1e-9)
-    assert [f.orbit_ref for f in art.fields] == [0]
+    assert [f.anchor_x for f in art.fields] == [art.orbits[0].anchor.x]
 
 
 def test_shifted_kinetic_rest_momentum():

@@ -16,8 +16,7 @@ TWO_PI = 2 * math.pi
 
 @pytest.fixture(scope="module")
 def bench_curves(bench_model, bench_orbits):
-    return [unstable_hessian_curve(bench_model, o, orbit_ref=i)
-            for i, o in enumerate(bench_orbits)]
+    return [unstable_hessian_curve(bench_model, o) for o in bench_orbits]
 
 
 def test_fixed_point_hessian_constant(bench_model, bench_orbits, bench_curves):
@@ -76,8 +75,7 @@ def test_lambda_averages_tie_symmetric_double_well():
     from weakkam.dynamics import aubry_orbits
 
     orbits = aubry_orbits(m)
-    curves = [unstable_hessian_curve(m, o, orbit_ref=i)
-              for i, o in enumerate(orbits)]
+    curves = [unstable_hessian_curve(m, o) for o in orbits]
     rep = lambda_averages(curves)
     assert len(rep.argmin) == 2
 
@@ -100,7 +98,7 @@ def test_fd_recovers_injected_quadratic(bench_small_setup, bench_orbits):
     field = dataclasses.replace(bench_small_setup["fields"][1],
                                 h=np.repeat(h[:, None], grid.nt, axis=1))
     orbit = [o for o in bench_orbits if abs(o.anchor.x - 0.5) < 1e-9][0]
-    curve = HessianCurve(orbit_ref=1, times=np.array([0.0, 1.0]),
+    curve = HessianCurve(times=np.array([0.0, 1.0]),
                          P=np.array([2 * a, 2 * a]), lambda_i=2 * a,
                          riccati_residual=0.0, periodicity_gap=0.0)
     rep = fd_crosscheck(field, orbit, curve)

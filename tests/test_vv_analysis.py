@@ -6,7 +6,8 @@ import pytest
 from weakkam.errors import CompatibilityError, WeakKamError
 from weakkam.model import HamiltonianModel, PotentialSpec
 from weakkam.orbit_hessian import unstable_hessian_curve, lambda_averages
-from weakkam.variational import GridSpec, anchored_barrier, barrier_matrix, build_kernels, critical_value
+from weakkam.variational import (GridSpec, Numerics, anchored_barrier, barrier_matrix,
+                                 build_kernels, critical_value)
 from weakkam.vv_analysis import (Artifacts, SweepReport, example_verify, local_max_set,
                                  orbit_window, predicted_limit, rescale_check, slope_fit,
                                  sweep)
@@ -138,7 +139,7 @@ def test_rescale_check_vacuous(bench_model):
 
 
 def test_rescale_check_traveling_wave(tw_model):
-    rep = rescale_check(Artifacts(tw_model, GridSpec(256, 32), shoot_tol=1e-5))
+    rep = rescale_check(Artifacts(tw_model, GridSpec(256, 32), Numerics(shoot_tol=1e-5)))
     assert rep.N == 2 and not rep.vacuous
     assert rep.barrier_identity_error <= 0.04
     assert all(e <= 1e-6 for e in rep.lambda_errors)
@@ -146,7 +147,7 @@ def test_rescale_check_traveling_wave(tw_model):
 
 
 def test_example_verify_small(tw_model):
-    rep = example_verify(Artifacts(tw_model, GridSpec(256, 32), shoot_tol=1e-5))
+    rep = example_verify(Artifacts(tw_model, GridSpec(256, 32), Numerics(shoot_tol=1e-5)))
     assert rep.orbit_count_ok
     assert rep.translate_residual <= 1e-5
     assert all(e <= 1e-3 for e in rep.riccati_errors)
