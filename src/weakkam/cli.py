@@ -115,7 +115,9 @@ def validate_config(cfg: dict) -> dict:
     if stoch:
         for key in ("n_paths", "dt", "delta", "kappa"):
             _require(key in stoch, f"stochastic.{key} missing", f"stochastic.{key}")
-            _number_field(stoch, key, "stochastic", integer=key == "n_paths")
+            # a standard error needs two paths
+            _number_field(stoch, key, "stochastic", integer=key == "n_paths",
+                          least=2 if key == "n_paths" else None)
         if "seed" in stoch:
             _seed(stoch["seed"])
         _eps_list(stoch.get("eps_list", eps_list), "stochastic.eps_list")
@@ -306,28 +308,13 @@ class _Pipeline(Artifacts):
         # rescale_check reads the orbits and c(0) itself, so building them,
         # when no earlier stage has, is timed with this stage
         rep = self._timed("rescale", lambda: rescale_check(self))
-        results = {
-            "N": rep.N, "vacuous": rep.vacuous,
-            "barrier_identity_error": rep.barrier_identity_error,
-            "lambda_errors": rep.lambda_errors,
-            "c_original": rep.c_original, "c_rescaled": rep.c_rescaled,
-        }
-        return results, {}, rep.ok(grid_tol=self.numerics.grid_tol)
+        return asdict(rep), {}, rep.ok(grid_tol=self.numerics.grid_tol)
 
     def stage_example(self):
         _require(self.model.family == "traveling_wave",
                  "example stage needs a traveling_wave model", "model.family")
         rep = self._timed("example", lambda: example_verify(self))
-        results = {
-            "k": rep.k, "maxima": rep.maxima,
-            "orbit_count_ok": rep.orbit_count_ok,
-            "translate_residual": rep.translate_residual,
-            "riccati_errors": rep.riccati_errors,
-            "fd_deviations": rep.fd_deviations,
-            "shift_consistency_error": rep.shift_consistency_error,
-            "expected_curvatures": rep.expected_curvatures,
-        }
-        return results, {}, rep.ok()
+        return asdict(rep), {}, rep.ok()
 
     def stage_stochastic(self):
         stoch = self.cfg.get("stochastic")
@@ -369,8 +356,7 @@ class _Pipeline(Artifacts):
             "exit_records": rows,
             "exit_all_positive": fw.all_positive,
             "exit_nondecreasing": fw.nondecreasing,
-            "lax": [{"x": p.x, "t": p.t, "lhs": p.lhs, "rhs": p.rhs,
-                     "se": p.se, "residual": p.residual} for p in probes],
+            "lax": [{**asdict(p), "residual": p.residual} for p in probes],
             "lax_ok": lax_ok,
         }
         return results, tables, fw.ok and lax_ok

@@ -1,13 +1,15 @@
 """Hamiltonian flow integration, periodic-orbit shooting and Floquet analysis.
 
 The flow is x' = H_p, p' = -H_x, integrated with a fixed-step classical RK4
-scheme, optionally together with the variational (tangent) dynamics
+scheme, always together with the variational (tangent) dynamics
 
     dx' = H_xp dx + H_pp dp,      dp' = -H_xx dx - H_xp dp,
 
 from the identity matrix.  Orbits of integer period are found by Newton
 iteration on the return-map residual; hyperbolicity is read off the
-monodromy's eigenvalues.
+monodromy's eigenvalues.  A found orbit keeps the fundamental matrices of its
+verification pass, so each orbit's period is integrated once and the
+unstable-subspace Hessian reads the stored frames.
 
 The flow is integrated one scalar point at a time, so a step works in floats
 throughout: the model's scalar jet, and the 2x2 tangent algebra (stage
@@ -49,8 +51,8 @@ class Trajectory:
     times: np.ndarray
     x: np.ndarray
     p: np.ndarray
-    fundamental: np.ndarray | None = None  # shape (n, 2, 2) when requested
-    det_product: float = 1.0               # product of per-step tangent determinants
+    fundamental: np.ndarray    # shape (n, 2, 2), the identity first
+    det_product: float         # product of per-step tangent determinants
 
     @property
     def end(self) -> tuple[float, float]:
@@ -67,12 +69,16 @@ class PeriodicOrbit:
     x: np.ndarray                    # lifted samples over one period, closed
     p: np.ndarray
     winding: int
-    monodromy: np.ndarray
+    fundamental: np.ndarray          # tangent flow at ``times``, shape (n, 2, 2)
     floquet_exponents: np.ndarray
     hyperbolic: bool
     residual: float
     det_product: float = 1.0
     newton_iterations: int = 0
+
+    @property
+    def monodromy(self) -> np.ndarray:
+        return self.fundamental[-1]
 
     def position(self, t) -> np.ndarray:
         """Lifted orbit position at times t (periodically extended)."""
@@ -86,11 +92,6 @@ class PeriodicOrbit:
         t = np.asarray(t, dtype=float)
         tau = t - np.floor(t / self.period) * self.period
         return np.interp(tau, self.times, self.p)
-
-
-def _rhs(model: HamiltonianModel, x: float, p: float, t: float):
-    jet = model.jet(x, p, t)
-    return jet.H_p, -jet.H_x
 
 
 def _rhs_jac(model: HamiltonianModel, x: float, p: float, t: float):
@@ -113,13 +114,13 @@ def _stage(J, A, c):
 
 
 def integrate(model: HamiltonianModel, start: PhasePoint, duration: float,
-              steps: int | None = None, with_variational: bool = False) -> Trajectory:
-    """RK4 integration of the Hamiltonian flow from ``start`` over ``duration``.
+              steps: int | None = None) -> Trajectory:
+    """RK4 integration of the Hamiltonian flow and its tangent flow from ``start``.
 
     ``steps`` defaults to the fewest steps no longer than ``MAX_STEP``.  The
-    variational flow, when requested, is advanced with the same RK4 stages
-    so the fundamental matrix is consistent with the trajectory to the same
-    order.  Raises IntegrationError on non-finite state.
+    variational flow is advanced with the same RK4 stages, so the fundamental
+    matrix is consistent with the trajectory to the same order.  Raises
+    IntegrationError on non-finite state.
     """
     if steps is None:
         steps = max(1, int(math.ceil(abs(duration) / MAX_STEP)))
@@ -131,27 +132,21 @@ def integrate(model: HamiltonianModel, start: PhasePoint, duration: float,
     mats = [M]
     det_product = 1.0
     for n, t in enumerate(times[:-1].tolist()):
-        if with_variational:
-            # the tangent flow is linear in M: build the one-step propagator S
-            # from identity (well conditioned) and accumulate M = S M
-            k1x, k1p, J1 = _rhs_jac(model, x, p, t)
-            k2x, k2p, J2 = _rhs_jac(model, x + 0.5 * h * k1x, p + 0.5 * h * k1p, t + 0.5 * h)
-            k3x, k3p, J3 = _rhs_jac(model, x + 0.5 * h * k2x, p + 0.5 * h * k2p, t + 0.5 * h)
-            k4x, k4p, J4 = _rhs_jac(model, x + h * k3x, p + h * k3p, t + h)
-            A1 = J1
-            A2 = _stage(J2, A1, 0.5 * h)
-            A3 = _stage(J3, A2, 0.5 * h)
-            A4 = _stage(J4, A3, h)
-            S = tuple(e + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-                      for e, a1, a2, a3, a4 in zip((1.0, 0.0, 0.0, 1.0), A1, A2, A3, A4))
-            det_product *= S[0] * S[3] - S[1] * S[2]
-            M = _matmul(S, M)
-            mats.append(M)
-        else:
-            k1x, k1p = _rhs(model, x, p, t)
-            k2x, k2p = _rhs(model, x + 0.5 * h * k1x, p + 0.5 * h * k1p, t + 0.5 * h)
-            k3x, k3p = _rhs(model, x + 0.5 * h * k2x, p + 0.5 * h * k2p, t + 0.5 * h)
-            k4x, k4p = _rhs(model, x + h * k3x, p + h * k3p, t + h)
+        # the tangent flow is linear in M: build the one-step propagator S
+        # from identity (well conditioned) and accumulate M = S M
+        k1x, k1p, J1 = _rhs_jac(model, x, p, t)
+        k2x, k2p, J2 = _rhs_jac(model, x + 0.5 * h * k1x, p + 0.5 * h * k1p, t + 0.5 * h)
+        k3x, k3p, J3 = _rhs_jac(model, x + 0.5 * h * k2x, p + 0.5 * h * k2p, t + 0.5 * h)
+        k4x, k4p, J4 = _rhs_jac(model, x + h * k3x, p + h * k3p, t + h)
+        A1 = J1
+        A2 = _stage(J2, A1, 0.5 * h)
+        A3 = _stage(J3, A2, 0.5 * h)
+        A4 = _stage(J4, A3, h)
+        S = tuple(e + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+                  for e, a1, a2, a3, a4 in zip((1.0, 0.0, 0.0, 1.0), A1, A2, A3, A4))
+        det_product *= S[0] * S[3] - S[1] * S[2]
+        M = _matmul(S, M)
+        mats.append(M)
         x += (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
         p += (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
         if not (math.isfinite(x) and math.isfinite(p)):
@@ -159,9 +154,8 @@ def integrate(model: HamiltonianModel, start: PhasePoint, duration: float,
                                    last_valid_time=float(times[n]))
         xs.append(x)
         ps.append(p)
-    fund = np.array(mats).reshape(-1, 2, 2) if with_variational else None
-    return Trajectory(times=times, x=np.array(xs), p=np.array(ps), fundamental=fund,
-                      det_product=det_product)
+    return Trajectory(times=times, x=np.array(xs), p=np.array(ps),
+                      fundamental=np.array(mats).reshape(-1, 2, 2), det_product=det_product)
 
 
 def find_periodic_orbit(model: HamiltonianModel, seed: PhasePoint, period: int,
@@ -198,7 +192,7 @@ def find_periodic_orbit(model: HamiltonianModel, seed: PhasePoint, period: int,
         mats = np.empty((n_seg, 2, 2))
         for i in range(n_seg):
             traj = integrate(model, PhasePoint(Z[i][0], Z[i][1], i * seg_len),
-                             seg_len, steps=seg_steps, with_variational=True)
+                             seg_len, steps=seg_steps)
             ends[i] = traj.end
             mats[i] = traj.fundamental[-1]
         res = np.empty((n_seg, 2))
@@ -233,8 +227,7 @@ def find_periodic_orbit(model: HamiltonianModel, seed: PhasePoint, period: int,
 
     # verification pass: one whole period from z_0 with the tangent flow
     steps = max(int(math.ceil(period / MAX_STEP)), n_seg * seg_steps)
-    traj = integrate(model, PhasePoint(Z[0][0], Z[0][1], 0.0), float(period),
-                     steps=steps, with_variational=True)
+    traj = integrate(model, PhasePoint(Z[0][0], Z[0][1], 0.0), float(period), steps=steps)
     r = np.array(traj.end) - Z[0] - target
     residual = float(np.max(np.abs(r)))
     if residual > shoot_tol:
@@ -249,17 +242,17 @@ def find_periodic_orbit(model: HamiltonianModel, seed: PhasePoint, period: int,
         x=traj.x,
         p=traj.p,
         winding=winding,
-        monodromy=traj.fundamental[-1].copy(),
+        fundamental=traj.fundamental,
         floquet_exponents=np.zeros(2, dtype=complex),
         hyperbolic=False,
         residual=residual,
         det_product=traj.det_product,
         newton_iterations=iterations,
     )
-    return classify_orbit(model, orbit)
+    return classify_orbit(orbit)
 
 
-def classify_orbit(model: HamiltonianModel, orbit: PeriodicOrbit) -> PeriodicOrbit:
+def classify_orbit(orbit: PeriodicOrbit) -> PeriodicOrbit:
     """Attach Floquet exponents and the hyperbolicity flag; check symplecticity.
 
     The orbit is hyperbolic when every multiplier lies more than 0.1 off the

@@ -5,7 +5,9 @@ differentiable, and its spatial Hessian P(t) is the slope of the unstable
 subspace of the linearized flow written as a graph dp = P(t) dx.  Propagating
 the unstable eigenvector of the monodromy is unconditionally stable (the
 direction is attracting under the tangent flow), unlike direct integration of
-the Riccati equation which can blow up in finite time.
+the Riccati equation which can blow up in finite time.  The tangent flow is
+integrated once per orbit: the frames are the fundamental matrices the orbit
+kept from its verification pass.
 """
 
 from __future__ import annotations
@@ -48,25 +50,21 @@ def unstable_hessian_curve(model, orbit: PeriodicOrbit) -> HessianCurve:
     if abs(v_u[0]) < TRANSVERSALITY_FLOOR:
         raise DegenerateGraphError("unstable direction is vertical at the anchor")
 
-    from .dynamics import integrate, PhasePoint
-    steps = len(orbit.times) - 1
-    traj = integrate(model, PhasePoint(orbit.x[0], orbit.p[0], 0.0),
-                     float(orbit.period), steps=steps, with_variational=True)
-    W = traj.fundamental @ v_u            # (n+1, 2) propagated frame
+    W = orbit.fundamental @ v_u           # (n+1, 2) propagated frame
     dx = W[:, 0]
     rownorm = np.sqrt(W[:, 0] ** 2 + W[:, 1] ** 2)
     if np.min(np.abs(dx) / rownorm) < TRANSVERSALITY_FLOOR:
         raise DegenerateGraphError("propagated subspace grazes the vertical")
     P = W[:, 1] / dx
 
-    times = traj.times
+    times = orbit.times
     lam = float(np.trapezoid(P, times) / orbit.period)
     gap = float(abs(P[-1] - P[0]))
 
     # Riccati residual from centered differences of the sampled slope
     h = times[1] - times[0]
     dP = (P[2:] - P[:-2]) / (2.0 * h)
-    jets = model.jet(traj.x[1:-1], traj.p[1:-1], times[1:-1])
+    jets = model.jet(orbit.x[1:-1], orbit.p[1:-1], times[1:-1])
     mid = P[1:-1]
     res = dP + jets.H_xx + 2.0 * jets.H_xp * mid + jets.H_pp * mid * mid
     return HessianCurve(times=times, P=P, lambda_i=lam,

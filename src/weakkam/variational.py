@@ -390,10 +390,9 @@ def action_potential_pair(field_i: BarrierField, field_j: BarrierField):
     """Barrier matrix entries (h(x_i, x_j), Phi(x_i, x_j)) read off field_j.
 
     field_j is anchored at x_j; its value at the node nearest x_i gives the
-    cost from (x_i, [0]) to (x_j, [0]).  A non-finite anchor is refused.
+    cost from (x_i, [0]) to (x_j, [0]).  ``GridSpec.node`` refuses a
+    non-finite anchor.
     """
-    if not math.isfinite(field_i.anchor_x):
-        raise WeakKamError(f"non-finite anchor {field_i.anchor_x!r}")
     node = field_j.grid.node(field_i.anchor_x)
     return float(field_j.h[node, 0]), float(field_j.phi_pot[node, 0])
 

@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -327,6 +328,21 @@ def test_seed_past_the_philox_key_range_is_a_config_error(tmp_path, capsys):
             validate_config({**FULL_CONFIG, "stochastic": {**stochastic, "seed": seed}})
         assert info.value.field == "stochastic.seed"
     validate_config({**FULL_CONFIG, "stochastic": {**stochastic, "seed": 2 ** 63 - 1}})
+
+
+def test_one_path_is_a_config_error(tmp_path, capsys):
+    # one path has no standard error: every se and CI95 was NaN, and the NaN
+    # tokens made the artifact invalid JSON
+    stochastic = {**FULL_CONFIG["stochastic"], "n_paths": 1}
+    path = write_config(tmp_path, grid={"nx": 64, "nt": 8}, stochastic=stochastic)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--config", str(path), "--command", "stochastic"]) == 1
+    err = capsys.readouterr().err
+    assert "config error at 'stochastic.n_paths'" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    validate_config({**FULL_CONFIG, "stochastic": {**stochastic, "n_paths": 2}})
 
 
 def test_numerics_reach_the_pipeline_record_and_leave_the_config_as_written():

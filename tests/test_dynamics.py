@@ -49,7 +49,7 @@ def test_blowup_reports_last_valid_time(bench_model):
 
 def test_variational_flow_free_shear():
     m = HamiltonianModel(family="mechanical")
-    traj = integrate(m, PhasePoint(0.1, 0.4), 2.0, steps=500, with_variational=True)
+    traj = integrate(m, PhasePoint(0.1, 0.4), 2.0, steps=500)
     np.testing.assert_allclose(traj.fundamental[-1], [[1.0, 2.0], [0.0, 1.0]],
                                atol=1e-12)
 

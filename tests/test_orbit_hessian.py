@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from weakkam.dynamics import PhasePoint, find_periodic_orbit
+from weakkam.dynamics import PhasePoint, find_periodic_orbit, integrate
 from weakkam.errors import WeakKamError
 from weakkam.model import HamiltonianModel, PotentialSpec
 from weakkam.orbit_hessian import (HessianCurve, fd_crosscheck, lambda_averages,
@@ -44,15 +44,44 @@ def test_lambda_positive(bench_curves):
     assert all(c.lambda_i > 0 for c in bench_curves)
 
 
-def test_traveling_wave_lambda_constant(tw_model):
-    orbit = find_periodic_orbit(tw_model, PhasePoint(0.0, 0.0), 2, winding=-1,
-                                shoot_tol=1e-5)
-    curve = unstable_hessian_curve(tw_model, orbit)
+@pytest.fixture(scope="module")
+def tw_orbit(tw_model):
+    return find_periodic_orbit(tw_model, PhasePoint(0.0, 0.0), 2, winding=-1,
+                               shoot_tol=1e-5)
+
+
+def test_traveling_wave_lambda_constant(tw_model, tw_orbit):
+    curve = unstable_hessian_curve(tw_model, tw_orbit)
     lam = math.sqrt(8) * math.pi
     assert np.max(np.abs(curve.P - lam)) <= 1e-6
     assert curve.lambda_i == pytest.approx(lam, abs=1e-3)
     assert curve.riccati_residual <= 1e-6
     assert curve.periodicity_gap <= 1e-8
+
+
+def test_curve_reads_the_orbit_frames_without_integrating(monkeypatch, bench_model,
+                                                           bench_orbits, tw_model, tw_orbit):
+    # reference: the period integrated afresh from the orbit's start
+    cases = [(bench_model, o) for o in bench_orbits] + [(tw_model, tw_orbit)]
+    refs = []
+    for model, orbit in cases:
+        traj = integrate(model, PhasePoint(orbit.x[0], orbit.p[0], 0.0),
+                         float(orbit.period), steps=len(orbit.times) - 1)
+        fresh = dataclasses.replace(orbit, times=traj.times, x=traj.x, p=traj.p,
+                                    fundamental=traj.fundamental)
+        refs.append(unstable_hessian_curve(model, fresh))
+
+    def no_integration(*args, **kwargs):
+        raise AssertionError("the Hessian curve integrated the flow again")
+
+    monkeypatch.setattr("weakkam.dynamics.integrate", no_integration)
+    for (model, orbit), ref in zip(cases, refs):
+        curve = unstable_hessian_curve(model, orbit)
+        assert np.array_equal(curve.times, ref.times)
+        assert np.array_equal(curve.P, ref.P)
+        assert curve.lambda_i == ref.lambda_i
+        assert curve.riccati_residual == ref.riccati_residual
+        assert curve.periodicity_gap == ref.periodicity_gap
 
 
 def test_non_hyperbolic_rejected():
