@@ -97,15 +97,25 @@ class PotentialSpec:
         cols = [self._modes[0]] + [v for n in range(3) for v in self._coefficients(n)]
         return tuple(zip(*(col.tolist() for col in cols)))
 
-    def _basis(self, x):
-        ang = np.multiply.outer(np.asarray(x, dtype=float), self._modes[0])
-        return np.cos(ang), np.sin(ang)
+    def _angles(self, x):
+        return np.multiply.outer(np.asarray(x, dtype=float), self._modes[0])
 
     def derivative(self, x, order: int = 0):
-        """Exact order-th derivative of V at x (broadcasts over arrays)."""
-        cw, sw = self._basis(x)
+        """Exact order-th derivative of V at x (broadcasts over arrays).
+
+        The sum is cos(w x) @ A + sin(w x) @ B, with (A, B) the coefficients
+        of the order.  When all of B are zero only cos(w x) @ A is evaluated,
+        and when all of A are zero only sin(w x) @ B: the value differs from
+        the full sum at most in the sign of an exact zero.
+        """
         a, b = self._coefficients(order)
-        val = cw @ a + sw @ b
+        ang = self._angles(x)
+        if not b.any():
+            val = np.cos(ang) @ a
+        elif not a.any():
+            val = np.sin(ang) @ b
+        else:
+            val = np.cos(ang) @ a + np.sin(ang) @ b
         return val if val.shape else float(val)
 
     def jet(self, y):
@@ -123,7 +133,8 @@ class PotentialSpec:
                 v1 += a1 * cw + b1 * sw
                 v2 += a2 * cw + b2 * sw
             return v0, v1, v2
-        cw, sw = self._basis(y)
+        ang = self._angles(y)
+        cw, sw = np.cos(ang), np.sin(ang)
         return tuple(cw @ a + sw @ b for a, b in map(self._coefficients, range(3)))
 
     def value(self, x):

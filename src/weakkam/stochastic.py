@@ -1,15 +1,20 @@
 """Monte Carlo verification layer: controlled SDE ensembles and exit times.
 
 Paths follow dX = U(X, s) ds + sqrt(2 eps) dW on the circle via Euler-Maruyama.
-Per-path noise streams come from counter-based generators keyed by (root seed,
-path index), so path i is bit-reproducible and independent of the ensemble
-size.  Exit times are always reported capped, tau ^ kappa, together with the
-capped fraction.
+Every path carries its own start and its own counter-based generator, keyed
+by a pair (root seed, path index): ``simulate_paths`` and ``exit_times`` key
+path i by (seed, i), and ``lax_residual`` keys path i of probe k by
+(seed + 7919 k, i).  A path is bit-reproducible and independent of the
+ensemble it runs in, its size and its neighbours.  Exit times are always
+reported capped, tau ^ kappa, together with the capped fraction.
 
-All ensembles run through one stepping core, ``_euler_maruyama``.  Paths go
-in blocks of ``BLOCK_PATHS``; each live path draws its noise ``CHUNK_STEPS``
-steps at a time.  At every step n = 0..n_steps the core evaluates
-u = U(X, t0 + n dt) for the live paths and calls
+All ensembles run through one stepping core, ``_euler_maruyama``, which takes
+one start and one key per path and a common start time t0.  Paths go in
+blocks of ``BLOCK_PATHS``; each live path draws its noise ``CHUNK_STEPS``
+steps at a time, in place, into one (live paths, CHUNK_STEPS) float64 array
+of at most BLOCK_PATHS x CHUNK_STEPS x 8 bytes (16 MiB).  At every step
+n = 0..n_steps the core evaluates u = U(X, t0 + n dt) for the live paths and
+calls
 
     observe(idx, X, u, n, s) -> stop mask or None
 
@@ -21,7 +26,9 @@ owns its generator, dropping a path leaves every other path's stream position
 untouched, so the samples of a path do not depend on its neighbours, the block
 size or the chunk size.  The drivers are observers: ``simulate_paths`` stores
 X, ``exit_times`` stops paths on leaving the tube, and ``lax_residual``
-accumulates the running Lagrangian cost.
+accumulates the running Lagrangian cost.  ``lax_residual`` runs the probes
+that share a start time as one ensemble, so the five default probes, all at
+t0 = 0, step together.
 """
 
 from __future__ import annotations
@@ -35,8 +42,8 @@ from .errors import ConfigError
 from .variational import BarrierField, GridSpec
 from .viscous import ViscousSolution, centered_gradient
 
-BLOCK_PATHS = 4096
-CHUNK_STEPS = 2048
+BLOCK_PATHS = 8192
+CHUNK_STEPS = 256
 
 ZERO = "zero"
 OPTIMAL_FROM_VISCOUS = "optimal_from_viscous"
@@ -94,15 +101,20 @@ def _bilinear(table: np.ndarray, x, t: float):
     """
     nx, nt = table.shape
     pos = (np.asarray(x, dtype=float) % 1.0) * nx
-    i0 = np.floor(pos).astype(int) % nx
-    i1 = (i0 + 1) % nx
-    wx = pos - np.floor(pos)
+    cell = np.floor(pos)
+    wx = pos - cell
+    vx = 1 - wx
+    # x % 1.0 is 1.0 for x just below 0, so cell may be nx: wrap it to 0
+    i0 = cell.astype(int) % nx
+    i1 = i0 + 1
+    i1[i1 == nx] = 0
     tpos = (t % 1.0) * nt
-    j0 = int(math.floor(tpos)) % nt
+    tcell = math.floor(tpos)
+    j0 = int(tcell) % nt
     j1 = (j0 + 1) % nt
-    wt = tpos - math.floor(tpos)
-    return ((1 - wt) * ((1 - wx) * table[i0, j0] + wx * table[i1, j0])
-            + wt * ((1 - wx) * table[i0, j1] + wx * table[i1, j1]))
+    wt = tpos - tcell
+    c0, c1 = table[:, j0], table[:, j1]
+    return (1 - wt) * (vx * c0[i0] + wx * c0[i1]) + wt * (vx * c1[i0] + wx * c1[i1])
 
 
 @dataclass
@@ -129,24 +141,29 @@ class SdeEnsemble:
         return 1.96 * float(np.std(self.tau_samples, ddof=1)) / math.sqrt(n)
 
 
-def _path_generators(seed: int, lo: int, hi: int):
-    return [np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
-            for i in range(lo, hi)]
+def _path_keys(seed: int, n_paths: int) -> np.ndarray:
+    """Philox keys (seed, i) of paths i = 0..n_paths-1, one row per path."""
+    keys = np.empty((n_paths, 2), dtype=np.uint64)
+    keys[:, 0] = seed
+    keys[:, 1] = np.arange(n_paths)
+    return keys
 
 
-def _euler_maruyama(drift: DriftField, x0: float, epsilon: float, dt: float,
-                    n_steps: int, seed: int, t0: float, n_paths: int, observe) -> None:
-    """The one Euler-Maruyama loop; ``observe`` sees every live path at every step.
+def _euler_maruyama(drift: DriftField, starts, keys: np.ndarray, epsilon: float,
+                    dt: float, n_steps: int, t0: float, observe) -> None:
+    """The one Euler-Maruyama loop; path i starts at starts[i] with Philox key keys[i].
 
-    See the module docstring for the observer contract.
+    ``observe`` sees every live path at every step; see the module docstring
+    for the observer contract.
     """
     sigma = math.sqrt(2.0 * epsilon * dt)
-    for lo in range(0, n_paths, BLOCK_PATHS):
-        hi = min(lo + BLOCK_PATHS, n_paths)
-        gens = _path_generators(seed, lo, hi)
+    starts = np.asarray(starts, dtype=float)
+    for lo in range(0, len(keys), BLOCK_PATHS):
+        hi = min(lo + BLOCK_PATHS, len(keys))
+        gens = [np.random.Generator(np.random.Philox(key=key)) for key in keys[lo:hi]]
         idx = np.arange(lo, hi)
-        X = np.full(hi - lo, float(x0))
-        rows = np.arange(hi - lo)    # live paths' columns in the noise chunk
+        X = starts[lo:hi]
+        rows = np.arange(hi - lo)    # live paths' rows in the noise chunk
         for n in range(n_steps + 1):
             s = t0 + n * dt
             u = drift(X, s)
@@ -158,11 +175,13 @@ def _euler_maruyama(drift: DriftField, x0: float, epsilon: float, dt: float,
                 break
             m = n % CHUNK_STEPS
             if m == 0:
-                # (chunk, live paths): row m holds the step's noise, contiguous
-                noise = np.stack([gens[i - lo].standard_normal(min(CHUNK_STEPS, n_steps - n))
-                                  for i in idx], axis=1)
+                # (live paths, chunk): row r continues the stream of path idx[r],
+                # drawn in place; column m holds the step's noise
+                noise = np.empty((idx.size, min(CHUNK_STEPS, n_steps - n)))
+                for r, i in enumerate((idx - lo).tolist()):
+                    gens[i].standard_normal(out=noise[r])
                 rows = np.arange(idx.size)
-            X = X + u * dt + sigma * noise[m, rows]
+            X = X + u * dt + sigma * noise[rows, m]
 
 
 def simulate_paths(model, drift: DriftField, epsilon: float, n_paths: int,
@@ -177,7 +196,8 @@ def simulate_paths(model, drift: DriftField, epsilon: float, n_paths: int,
     def store(idx, X, u, n, s):
         paths[idx, n] = X
 
-    _euler_maruyama(drift, start_x, epsilon, dt, n_steps, seed, start_t, n_paths, store)
+    _euler_maruyama(drift, np.full(n_paths, float(start_x)), _path_keys(seed, n_paths),
+                    epsilon, dt, n_steps, start_t, store)
     times = start_t + dt * np.arange(n_steps + 1)
     return SdeEnsemble(epsilon=epsilon, drift_kind=drift.kind, n_paths=n_paths,
                        dt=dt, seed=seed, kappa=kappa, paths=paths, times=times)
@@ -206,8 +226,8 @@ def exit_times(model, drift: DriftField, center, epsilon: float, delta: float,
         taus[idx[out]] = n * dt
         return out
 
-    _euler_maruyama(drift, center.position(0.0), epsilon, dt, n_steps, seed, 0.0,
-                    n_paths, first_exit)
+    _euler_maruyama(drift, np.full(n_paths, float(center.position(0.0))),
+                    _path_keys(seed, n_paths), epsilon, dt, n_steps, 0.0, first_exit)
     capped = float(np.mean(taus >= kappa))
     return SdeEnsemble(epsilon=epsilon, drift_kind=drift.kind, n_paths=n_paths,
                        dt=dt, seed=seed, kappa=kappa, delta=delta,
@@ -321,20 +341,30 @@ def lax_residual(model, sol: ViscousSolution, drift: DriftField, kappa: float,
                  probes=None) -> list[LaxProbe]:
     """Monte Carlo check of the stochastic representation of the viscous profile.
 
-    With the optimal drift and the deterministic horizon kappa,
-    phi(x, t) = E[ phi(X_kappa, kappa) - int L(X, U(X,s), s) ds ] - c(eps) kappa
+    With the optimal drift and the deterministic horizon T,
+    phi(x, t) = E[ phi(X_T, t + T) - int L(X, U(X,s), s) ds ] - c(eps) T
     holds up to discretization and sampling error; each probe reports the
-    two sides and the standard error of the estimator.  The running cost is
-    the trapezoid rule over the Euler-Maruyama steps.
+    two sides and the standard error of the estimator.  The paths take
+    n_steps = round(kappa / dt) steps, so T = n_steps dt, which is kappa
+    when kappa / dt is an integer.  The running cost is the trapezoid rule
+    over the Euler-Maruyama steps.
+
+    Probe k draws n_paths paths keyed (seed + 7919 k, i); the probes that
+    share a start time run as one ensemble, and each probe's mean and
+    standard error are taken over its own paths.
     """
     if probes is None:
         probes = [(x, 0.0) for x in (0.1, 0.3, 0.5, 0.7, 0.9)]
-    out = []
     n_steps = int(round(kappa / dt))
-    for k_probe, (x0, t0) in enumerate(probes):
-        cost = np.zeros(n_paths)
-        l_prev = np.empty(n_paths)
-        acc = np.empty(n_paths)
+    horizon = n_steps * dt
+    ends = np.empty((len(probes), n_paths))   # phi(X_T, t0 + T) - running cost
+    for t0 in dict.fromkeys(t for _, t in probes):
+        group = [k for k, (_, t) in enumerate(probes) if t == t0]
+        starts = np.repeat([probes[k][0] for k in group], n_paths)
+        keys = np.concatenate([_path_keys(seed + 7919 * k, n_paths) for k in group])
+        cost = np.zeros(len(keys))
+        l_prev = np.empty(len(keys))
+        acc = np.empty(len(keys))
 
         def running_cost(idx, X, u, n, s):
             l_now, _ = model.lagrangian(X, u, s)
@@ -342,12 +372,14 @@ def lax_residual(model, sol: ViscousSolution, drift: DriftField, kappa: float,
                 cost[idx] += 0.5 * (l_prev[idx] + l_now) * dt
             l_prev[idx] = l_now
             if n == n_steps:
-                acc[idx] = _bilinear(sol.phi, X, t0 + kappa) - cost[idx]
+                acc[idx] = _bilinear(sol.phi, X, t0 + horizon) - cost[idx]
 
-        _euler_maruyama(drift, x0, sol.epsilon, dt, n_steps, seed + 7919 * k_probe,
-                        t0, n_paths, running_cost)
-        rhs = float(np.mean(acc)) - sol.c_eps * kappa
-        se = float(np.std(acc, ddof=1)) / math.sqrt(n_paths)
+        _euler_maruyama(drift, starts, keys, sol.epsilon, dt, n_steps, t0, running_cost)
+        ends[group] = acc.reshape(len(group), n_paths)
+    out = []
+    for (x0, t0), end in zip(probes, ends):
+        rhs = float(np.mean(end)) - sol.c_eps * horizon
+        se = float(np.std(end, ddof=1)) / math.sqrt(n_paths)
         lhs = float(_bilinear(sol.phi, np.array([x0]), t0)[0])
         out.append(LaxProbe(x=x0, t=t0, lhs=lhs, rhs=rhs, se=se))
     return out

@@ -247,3 +247,30 @@ def test_scalar_jet_matches_array_jet(model, x, p, t):
         assert type(value) is float, name
         expected = float(getattr(array, name)[0])
         assert value == pytest.approx(expected, rel=1e-12, abs=1e-12), name
+
+
+def _full_basis(terms, x, order):
+    """cos(w x) @ A + sin(w x) @ B over both halves, (A, B) the order's coefficients."""
+    k, c, s = (np.array(col, dtype=float) for col in zip(*terms))
+    w = 2.0 * math.pi * k
+    a, b = ((c, s), (s, -c), (-c, -s), (-s, c))[order % 4]
+    ang = np.multiply.outer(np.asarray(x, dtype=float), w)
+    return np.cos(ang) @ (a * w ** order) + np.sin(ang) @ (b * w ** order)
+
+
+@settings(max_examples=200, deadline=None)
+@given(freqs=st.lists(st.integers(0, 6), min_size=1, max_size=4),
+       zeroed=st.sampled_from(("cos", "sin", None)), data=st.data(),
+       xs=st.lists(st.floats(-1.0, 2.0), min_size=1, max_size=8))
+def test_derivative_evaluates_the_half_basis_it_needs(freqs, zeroed, data, xs):
+    # a potential with no sine (or no cosine) coefficients evaluates one half
+    # of the basis; the value equals the full sum up to the sign of a zero
+    terms = [(k, 0.0 if zeroed == "cos" else data.draw(COEFF),
+              0.0 if zeroed == "sin" else data.draw(COEFF)) for k in freqs]
+    V = PotentialSpec.from_terms(terms)
+    x = np.array(xs)
+    for order in range(4):
+        assert np.all(V.derivative(x, order) == _full_basis(terms, x, order)), order
+        value = V.derivative(xs[0], order)
+        assert type(value) is float
+        assert value == _full_basis(terms, xs[0], order), order

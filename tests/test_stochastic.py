@@ -7,7 +7,7 @@ from scipy.special import erf
 
 from weakkam import stochastic
 from weakkam.errors import ConfigError
-from weakkam.model import HamiltonianModel
+from weakkam.model import HamiltonianModel, PotentialSpec
 from weakkam.stochastic import (DriftField, StaticCenter, exit_time_scaling,
                                 exit_times, lax_residual, simulate_paths)
 from weakkam.variational import GridSpec
@@ -88,6 +88,65 @@ def test_streams_stable_under_block_and_chunk_resizing(bench_model, monkeypatch)
     assert np.array_equal(taus, taus_small)
     assert np.array_equal(paths, paths_small)
     assert probes == probes_small
+
+
+def test_lax_probes_batch_like_single_probes(bench_model, monkeypatch):
+    # probes sharing a start time run as one ensemble; each keeps its own
+    # keys (seed + 7919 k, i), so it samples what it samples on its own
+    monkeypatch.setattr(stochastic, "BLOCK_PATHS", 8)
+    sol = solve_cell(bench_model, 0.05, GridSpec(64, 8))
+    drift = DriftField.from_viscous(bench_model, sol)
+    P = [(0.25, 0.0), (0.6, 0.3), (0.8, 0.0), (0.1, 0.3), (0.45, 0.0)]
+
+    def lax(seed, probes):
+        return [(p.lhs, p.rhs, p.se) for p in lax_residual(
+            bench_model, sol, drift, kappa=0.05, n_paths=13, dt=1e-3, seed=seed,
+            probes=probes)]
+
+    single = [lax(4 + 7919 * k, [p])[0] for k, p in enumerate(P)]
+    assert lax(4, P) == single
+
+
+def test_lax_horizon_is_the_simulated_time():
+    # V = 0.7 gives c(eps) = 0.7, a flat profile and L = v^2/2 - 0.7, so the
+    # two sides agree exactly when phi is read and c(eps) is charged at the
+    # time the paths ran, 3333 dt here, not at kappa = 1
+    model = HamiltonianModel(family="mechanical",
+                             potential=PotentialSpec.from_terms([(0, 0.7, 0.0)]))
+    sol = solve_cell(model, 0.02, GridSpec(50, 8))
+    drift = DriftField.from_viscous(model, sol)
+    for dt in (1e-3, 3e-4):
+        probe, = lax_residual(model, sol, drift, kappa=1.0, n_paths=20, dt=dt,
+                              seed=3, probes=[(0.2, 0.0)])
+        assert probe.residual <= 1e-12, dt
+
+
+def _bilinear_reference(table, xs, t):
+    """Bilinear interpolation point by point, both indices wrapped modulo the table."""
+    nx, nt = table.shape
+    tpos = (t % 1.0) * nt
+    j = math.floor(tpos)
+    wt = tpos - j
+    out = []
+    for x in xs:
+        pos = (x % 1.0) * nx
+        i = math.floor(pos)
+        wx = pos - i
+        a, b = table[i % nx, j % nt], table[(i + 1) % nx, j % nt]
+        c, d = table[i % nx, (j + 1) % nt], table[(i + 1) % nx, (j + 1) % nt]
+        out.append((1 - wt) * ((1 - wx) * a + wx * b) + wt * ((1 - wx) * c + wx * d))
+    return np.array(out)
+
+
+def test_bilinear_matches_reference():
+    rng = np.random.default_rng(5)
+    table = rng.normal(size=(40, 8))
+    # x % 1.0 is 1.0 at x = -1e-20: the cell index must wrap to 0
+    xs = np.concatenate([rng.uniform(-2.0, 3.0, 300), [-1e-20, 0.0, 1.0, 0.999999, 1 / 40]])
+    for t in [*rng.uniform(-2.0, 3.0, 200), -1e-20, 0.0, 7 / 8]:
+        assert np.array_equal(stochastic._bilinear(table, xs, t),
+                              _bilinear_reference(table, xs, t)), t
+    assert stochastic._bilinear(table, np.array([-1e-20]), -1e-20)[0] == table[0, 0]
 
 
 def test_flat_case_exit_oracle():
