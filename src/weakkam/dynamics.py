@@ -1,9 +1,10 @@
 """Hamiltonian flow integration, periodic-orbit shooting and Floquet analysis.
 
-The flow is x' = H_p, p' = -H_x, integrated with a fixed-step classical RK4
-scheme, always together with the variational (tangent) dynamics
+Every model is the form H = m (p + b)^2/2 + e0 + V(x + w t), so the flow is
+x' = m (p + b), p' = -V'(y) with y = x + w t, integrated with a fixed-step
+classical RK4 scheme, always together with the variational (tangent) dynamics
 
-    dx' = H_xp dx + H_pp dp,      dp' = -H_xx dx - H_xp dp,
+    dx' = m dp,      dp' = -V''(y) dx,
 
 from the identity matrix.  Orbits of integer period are found by Newton
 iteration on the return-map residual; hyperbolicity is read off the
@@ -12,10 +13,10 @@ verification pass, so each orbit's period is integrated once and the
 unstable-subspace Hessian reads the stored frames.
 
 The flow is integrated one scalar point at a time, so a step works in floats
-throughout: the model's scalar jet, and the 2x2 tangent algebra (stage
-slopes, one-step propagator, accumulated fundamental matrix) as row-major
-4-tuples rather than numpy arrays, whose per-call overhead would dwarf the
-arithmetic.
+throughout: the potential's scalar (V, V', V''), and the 2x2 tangent algebra
+(stage slopes, one-step propagator, accumulated fundamental matrix) as
+row-major 4-tuples rather than numpy arrays, whose per-call overhead would
+dwarf the arithmetic.
 """
 
 from __future__ import annotations
@@ -95,8 +96,10 @@ class PeriodicOrbit:
 
 
 def _rhs_jac(model: HamiltonianModel, x: float, p: float, t: float):
-    jet = model.jet(x, p, t)
-    return jet.H_p, -jet.H_x, (jet.H_xp, jet.H_pp, -jet.H_xx, -jet.H_xp)
+    """Vector field (m (p + b), -V'(y)) and its row-major Jacobian (0, m, -V''(y), -0)."""
+    m = model.mass
+    _, v1, v2 = model.potential.jet(model.wave_coordinate(x, t))
+    return m * (p + model.momentum_offset), -v1, (0.0, m, -v2, -0.0)
 
 
 def _matmul(a, b):

@@ -2,7 +2,8 @@
 
 Along a hyperbolic orbit the barrier anchored at the orbit is twice
 differentiable, and its spatial Hessian P(t) is the slope of the unstable
-subspace of the linearized flow written as a graph dp = P(t) dx.  Propagating
+subspace of the linearized flow dx' = m dp, dp' = -V''(x + w t) dx, written
+as a graph dp = P(t) dx; it solves the Riccati equation P' + V'' + m P^2 = 0.  Propagating
 the unstable eigenvector of the monodromy is unconditionally stable (the
 direction is attracting under the tangent flow), unlike direct integration of
 the Riccati equation which can blow up in finite time.  The tangent flow is
@@ -64,9 +65,9 @@ def unstable_hessian_curve(model, orbit: PeriodicOrbit) -> HessianCurve:
     # Riccati residual from centered differences of the sampled slope
     h = times[1] - times[0]
     dP = (P[2:] - P[:-2]) / (2.0 * h)
-    jets = model.jet(orbit.x[1:-1], orbit.p[1:-1], times[1:-1])
+    v2 = model.potential.d2(model.wave_coordinate(orbit.x[1:-1], times[1:-1]))
     mid = P[1:-1]
-    res = dP + jets.H_xx + 2.0 * jets.H_xp * mid + jets.H_pp * mid * mid
+    res = dP + v2 + model.mass * mid * mid
     return HessianCurve(times=times, P=P, lambda_i=lam,
                         riccati_residual=float(np.max(np.abs(res))),
                         periodicity_gap=gap)

@@ -216,7 +216,6 @@ class CriticalValueResult:
     c: float
     c_karp: float
     c_power: float
-    power_cycle_length: int
     power_iterations: int
     exact_regime: bool
 
@@ -250,8 +249,8 @@ def _power_min_mean(W: np.ndarray):
 
     Every 4 iterations it looks for a period sigma <= POWER_MAX_PERIOD over
     which the iterate moves by a constant (to 1e-10 relative).  Returns
-    (mean, cycle_length, iterations, exact) where exact=False marks the
-    Cesaro fallback after POWER_MAX_ITERS iterations.
+    (mean, iterations, exact) where exact=False marks the Cesaro fallback
+    after POWER_MAX_ITERS iterations.
     """
     nx = W.shape[0]
     sigma_max = POWER_MAX_PERIOD
@@ -266,10 +265,10 @@ def _power_min_mean(W: np.ndarray):
             for sigma in range(1, sigma_max + 1):
                 r = v - hist[(n - sigma) % (sigma_max + 1)]
                 if float(np.ptp(r)) <= 1e-10 * scale:
-                    return float(np.mean(r)) / sigma, sigma, n, True
+                    return float(np.mean(r)) / sigma, n, True
     # Cesaro fallback over the longest available stride
     r = v - hist[(n - sigma_max) % (sigma_max + 1)]
-    return float(np.mean(r)) / sigma_max, sigma_max, n, False
+    return float(np.mean(r)) / sigma_max, n, False
 
 
 def critical_value(kernels: ActionKernelSet) -> CriticalValueResult:
@@ -280,14 +279,13 @@ def critical_value(kernels: ActionKernelSet) -> CriticalValueResult:
     """
     W = compose_period(kernels)
     lam_karp = _karp_min_mean(W)
-    lam_power, sigma, iters, exact = _power_min_mean(W)
+    lam_power, iters, exact = _power_min_mean(W)
     if abs(lam_karp - lam_power) > AGREEMENT_TOL:
         raise NumericalQualityError(
             f"critical value estimates disagree: Karp {-lam_karp:.9g} vs "
             f"power iteration {-lam_power:.9g}")
     return CriticalValueResult(c=-lam_karp, c_karp=-lam_karp, c_power=-lam_power,
-                               power_cycle_length=sigma, power_iterations=iters,
-                               exact_regime=exact)
+                               power_iterations=iters, exact_regime=exact)
 
 
 @dataclass
@@ -318,14 +316,14 @@ class BarrierField:
 
 def anchored_barrier(kernels: ActionKernelSet, c: float, anchor_x: float,
                      window: int, barrier_tol: float = Numerics.barrier_tol,
-                     max_sweeps: int = Numerics.max_sweeps,
-                     min_sweeps: int | None = None) -> BarrierField:
+                     max_sweeps: int = Numerics.max_sweeps) -> BarrierField:
     """Backward value iteration from an indicator seed at the anchor.
 
     Each sweep propagates the cost-to-anchor field through one more whole
     period (adding c per period); the barrier is the minimum over the trailing
     ``window`` sweeps, iterated until that window minimum has moved by at
-    most ``barrier_tol`` for max(2 window, 6) sweeps in a row.
+    most ``barrier_tol`` for max(2 window, 6) sweeps in a row, counted from
+    sweep max(2 window + 4, 12) on.
     """
     grid = kernels.grid
     nx, nt = grid.nx, grid.nt
@@ -344,8 +342,6 @@ def anchored_barrier(kernels: ActionKernelSet, c: float, anchor_x: float,
     h_prev = None
     window_osc = INF
     osc_trace: list[float] = []
-    if min_sweeps is None:
-        min_sweeps = max(2 * window + 4, 12)
     patience = max(2 * window, 6)
     stable = 0
     n_sweeps = 0
@@ -367,7 +363,7 @@ def anchored_barrier(kernels: ActionKernelSet, c: float, anchor_x: float,
             diff = np.where(both_inf, 0.0, np.abs(h_now - h_prev))
             window_osc = float(np.max(diff)) if np.all(np.isfinite(diff)) else INF
             osc_trace.append(window_osc)
-            if sweep >= min_sweeps and np.all(np.isfinite(h_now)) \
+            if sweep >= max(2 * window + 4, 12) and np.all(np.isfinite(h_now)) \
                     and window_osc <= barrier_tol:
                 stable += 1
                 if stable >= patience:

@@ -264,6 +264,14 @@ def test_out_flag_wins_over_config_directory(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_model_keys_the_family_ignores_fail_the_run(tmp_path, capsys):
+    # a mechanical model once ran as plain mechanical with these keys ignored
+    path = write_config(tmp_path, model={**SMALL_MODEL, "momentum_shift": 0.7, "wind": 3})
+    assert run_config(str(path), "critical") == 1
+    assert "config error at 'model.momentum_shift'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_entrypoint(tmp_path):
     path = write_config(tmp_path)
     assert main(["--config", str(path), "--command", "critical"]) == 0

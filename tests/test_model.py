@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from weakkam.dynamics import _rhs_jac
 from weakkam.errors import ConfigError
 from weakkam.model import (FAMILIES, MECHANICAL, SHIFTED_KINETIC, TRAVELING_WAVE,
                            HamiltonianModel, PotentialSpec, benchmark_potential,
@@ -23,12 +25,13 @@ def random_models():
 
 
 def test_mechanical_trivial_jet():
+    # free particle: H = p^2/2, flow (p, 0), tangent matrix [[0, 1], [0, 0]]
     m = HamiltonianModel(family=MECHANICAL)
-    j = m.jet(0.3, 2.0, 0.0)
-    assert j.H == pytest.approx(2.0)
-    assert j.H_p == pytest.approx(2.0)
-    assert j.H_pp == pytest.approx(1.0)
-    assert j.H_x == pytest.approx(0.0)
+    assert m.hamiltonian(0.3, 2.0, 0.0) == pytest.approx(2.0)
+    assert m.h_p_of_gradient(0.3, 2.0, 0.0) == pytest.approx(2.0)
+    dx, dp, jac = _rhs_jac(m, 0.3, 2.0, 0.0)
+    assert (dx, dp) == pytest.approx((2.0, 0.0))
+    assert jac == pytest.approx((0.0, 1.0, 0.0, 0.0))
 
 
 def test_shifted_kinetic_resting_value():
@@ -81,21 +84,35 @@ def test_fenchel_duality(model):
 @pytest.mark.parametrize("model", random_models(),
                          ids=[m.family for m in random_models()])
 def test_jet_matches_finite_differences(model):
-    x = RNG.random(1000)
-    p = RNG.normal(0, 2, 1000)
-    t = RNG.random(1000)
-    j = model.jet(x, p, t)
+    # the flow's field (H_p, -H_x) and tangent matrix (H_xp, H_pp, -H_xx, -H_xp)
+    # against central differences of H, on the family and its rescalings
     h = 1e-5
-    scale = 1.0 + np.abs(j.H_p) + np.abs(j.H_x)
+    for N in (1, 2, 3):
+        m = model.rescaled(N)
+        x, p, t = RNG.random(200), RNG.normal(0, 2, 200), RNG.random(200)
+        flow = [_rhs_jac(m, *z) for z in zip(x.tolist(), p.tolist(), t.tolist())]
+        field = np.array([f[:2] for f in flow])
+        jac = np.array([f[2] for f in flow])
 
-    def rel(a, b):
-        return np.max(np.abs(a - b) / scale)
+        def H(dx=0.0, dp=0.0):
+            return m.hamiltonian(x + dx, p + dp, t)
 
-    assert rel(j.H_p, (model.hamiltonian(x, p + h, t) - model.hamiltonian(x, p - h, t)) / (2 * h)) <= 1e-6
-    assert rel(j.H_x, (model.hamiltonian(x + h, p, t) - model.hamiltonian(x - h, p, t)) / (2 * h)) <= 1e-6
-    assert rel(j.H_t, (model.hamiltonian(x, p, t + h) - model.hamiltonian(x, p, t - h)) / (2 * h)) <= 1e-6
-    assert rel(j.H_pp, (model.hamiltonian(x, p + h, t) - 2 * j.H + model.hamiltonian(x, p - h, t)) / h ** 2) <= 1e-4
-    assert rel(j.H_xx, (model.hamiltonian(x + h, p, t) - 2 * j.H + model.hamiltonian(x - h, p, t)) / h ** 2) <= 1e-4
+        h_p = (H(dp=h) - H(dp=-h)) / (2 * h)
+        h_x = (H(dx=h) - H(dx=-h)) / (2 * h)
+        h_pp = (H(dp=h) - 2 * H() + H(dp=-h)) / h ** 2
+        h_xx = (H(dx=h) - 2 * H() + H(dx=-h)) / h ** 2
+        h_xp = (H(h, h) - H(h, -h) - H(-h, h) + H(-h, -h)) / (4 * h * h)
+        scale = 1.0 + np.abs(field[:, 0]) + np.abs(field[:, 1])
+
+        def rel(a, b):
+            return np.max(np.abs(a - b) / scale)
+
+        assert rel(field[:, 0], h_p) <= 1e-6, N
+        assert rel(field[:, 1], -h_x) <= 1e-6, N
+        assert rel(jac[:, 0], h_xp) <= 1e-4, N
+        assert rel(jac[:, 1], h_pp) <= 1e-4, N
+        assert rel(jac[:, 2], -h_xx) <= 1e-4, N
+        assert rel(jac[:, 3], -h_xp) <= 1e-4, N
 
 
 @pytest.mark.parametrize("model", random_models(),
@@ -126,14 +143,35 @@ def test_benchmark_potential_curvatures():
     np.testing.assert_allclose(V.value(xs), direct, atol=1e-14)
 
 
+def band_growth_min(model):
+    """Least growth expression over 64 values of |p| in [K, 3K] on the 128 x 32
+    (x, t) lattice: the sampling of the check before it used |p| = K alone."""
+    K = model.growth_constant
+    xs, ts = np.arange(128) / 128, np.arange(32) / 32
+    xg, tg = np.meshgrid(xs, ts, indexing="ij")
+    inf_h0 = float(np.min(model.hamiltonian(xg, 0.0, tg)))
+    band = np.linspace(K, 3.0 * K, 64)
+    xg, pg = np.meshgrid(xs, np.concatenate([band, -band]), indexing="ij")
+    out = math.inf
+    for t in ts:
+        h_x = model.potential.d1(model.wave_coordinate(xg, t))
+        expr = (model.h_p_of_gradient(xg, pg, t) * pg - model.hamiltonian(xg, pg, t)
+                + inf_h0) * K - np.abs(h_x)
+        out = min(out, float(np.min(expr)))
+    return out
+
+
 def test_growth_check_trivial_and_benchmark():
     free = HamiltonianModel(family=MECHANICAL, growth_constant=0.3)
-    assert verify_hypotheses(free).growth_ok
+    rep = verify_hypotheses(free)
+    assert rep.growth_ok and rep.ok
+    assert rep.growth_min == pytest.approx(band_growth_min(free), rel=1e-12, abs=1e-12)
 
     bench = HamiltonianModel(family=MECHANICAL, potential=benchmark_potential(),
                              growth_constant=8.0)
     rep = verify_hypotheses(bench)
-    assert rep.growth_ok and rep.convexity_ok and rep.periodicity_ok
+    assert rep.growth_ok and rep.ok and rep.min_h_pp == 1.0
+    assert rep.growth_min == pytest.approx(band_growth_min(bench), rel=1e-12, abs=1e-12)
 
     # independent dense sampling of the growth expression on a finer lattice
     V = bench.potential
@@ -154,13 +192,15 @@ def test_shifted_kinetic_growth_reduction():
                          growth_constant=8.0)
     x = RNG.random(200)
     p = RNG.normal(0, 5, 200)
-    j = m.jet(x, p, 0.0)
     K = m.growth_constant
     inf_h0 = np.min(m.hamiltonian(np.arange(4096) / 4096, 0.0, 0.0))
     inf_v = inf_h0 - 0.7 ** 2 / 2  # inf H(x,0,t) = inf V + P^2/2
-    lhs = (j.H_p * p - j.H + inf_h0) * K - np.abs(j.H_x)
+    lhs = (m.h_p_of_gradient(x, p) * p - m.hamiltonian(x, p) + inf_h0) * K - np.abs(V.d1(x))
     rhs = (p * p / 2 - V.value(x) + inf_v) * K - np.abs(V.d1(x))
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
+    rep = verify_hypotheses(m)
+    assert rep.growth_ok
+    assert rep.growth_min == pytest.approx(band_growth_min(m), rel=1e-12, abs=1e-12)
 
 
 def test_unknown_family_rejected():
@@ -177,6 +217,24 @@ def test_traveling_wave_requires_subperiodic_potential():
                          wind=2)
 
 
+@pytest.mark.parametrize("block, field", [
+    ({"family": "mechanical", "momentum_shift": 0.7}, "model.momentum_shift"),
+    ({"family": "traveling_wave", "wind": 2, "momentum_shift": -0.1}, "model.momentum_shift"),
+    ({"family": "mechanical", "wind": 3}, "model.wind"),
+    ({"family": "shifted_kinetic", "momentum_shift": 0.7, "wind": 2}, "model.wind"),
+])
+def test_model_keys_another_family_reads_are_rejected(block, field):
+    with pytest.raises(ConfigError) as info:
+        model_from_config(block)
+    assert info.value.field == field
+
+
+def test_neutral_values_of_another_familys_keys_are_accepted():
+    for family in FAMILIES:
+        model = model_from_config({"family": family, "momentum_shift": 0.0, "wind": 1})
+        assert (model.momentum_shift, model.wind) == (0.0, 1)
+
+
 def test_model_from_config_roundtrip():
     block = {"family": "shifted_kinetic",
              "potential": {"terms": [[0, -0.5, 0.0], [2, 0.5, 0.0]]},
@@ -188,7 +246,6 @@ def test_model_from_config_roundtrip():
 
 
 COEFF = st.floats(-1.0, 1.0)
-JET_FIELDS = ("H", "H_p", "H_x", "H_t", "H_pp", "H_xp", "H_xx")
 
 
 @st.composite
@@ -217,22 +274,19 @@ def close(a, b):
        p=st.floats(-5.0, 5.0), t=st.floats(-1.0, 3.0))
 def test_one_form_duality_and_rescaling(base, N, x, p, t):
     # Fenchel duality H(x, p, t) + L(x, H_p, t) = p H_p on the rescaled form;
-    # H_N(x, p, t) = H(x, Np, Nt), its jet by the chain rule, and the dual
+    # H_N(x, p, t) = H(x, Np, Nt), H_N,p = N H_p(x, Np, Nt), and the dual
     # L_N(x, v, t) = L(x, v/N, Nt) with L_N,v = L_v / N
     model = base.rescaled(N)
-    jet = model.jet(x, p, t)
-    lval, lv = model.lagrangian(x, jet.H_p, t)
-    assert close(float(model.hamiltonian(x, p, t) + lval), p * jet.H_p)
+    h_p = float(model.h_p_of_gradient(x, p, t))
+    lval, lv = model.lagrangian(x, h_p, t)
+    assert close(float(model.hamiltonian(x, p, t) + lval), p * h_p)
     assert close(float(lv), p)
     assert close(float(model.hamiltonian(x, p, t)), float(base.hamiltonian(x, N * p, N * t)))
     lval, lv = model.lagrangian(x, p, t)
     base_l, base_lv = base.lagrangian(x, p / N, N * t)
     assert close(float(lval), float(base_l))
     assert close(float(lv), float(base_lv) / N)
-    ref = base.jet(x, N * p, N * t)
-    chain = {"H": 1, "H_p": N, "H_x": 1, "H_t": N, "H_pp": N * N, "H_xp": N, "H_xx": 1}
-    for name, factor in chain.items():
-        assert close(getattr(jet, name), factor * getattr(ref, name)), name
+    assert close(h_p, N * float(base.h_p_of_gradient(x, N * p, N * t)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -240,13 +294,16 @@ def test_one_form_duality_and_rescaling(base, N, x, p, t):
        t=st.floats(-1.0, 3.0))
 def test_scalar_jet_matches_array_jet(model, x, p, t):
     # the flow's float path and the vectorised path read one coefficient table
-    scalar = model.jet(x, p, t)
-    array = model.jet(np.array([x]), np.array([p]), np.array([t]))
-    for name in JET_FIELDS:
-        value = getattr(scalar, name)
-        assert type(value) is float, name
-        expected = float(getattr(array, name)[0])
-        assert value == pytest.approx(expected, rel=1e-12, abs=1e-12), name
+    y = model.wave_coordinate(x, t)
+    jet = model.potential.jet(y)
+    for n, value in enumerate(jet):
+        assert type(value) is float, n
+        assert value == pytest.approx(model.potential.derivative(y, n),
+                                      rel=1e-12, abs=1e-12), n
+    dx, dp, jac = _rhs_jac(model, x, p, t)
+    assert all(type(v) is float for v in (dx, dp, *jac))
+    assert (dx, dp) == (model.mass * (p + model.momentum_offset), -jet[1])
+    assert jac == (0.0, model.mass, -jet[2], 0.0)
 
 
 def _full_basis(terms, x, order):
@@ -274,3 +331,13 @@ def test_derivative_evaluates_the_half_basis_it_needs(freqs, zeroed, data, xs):
         value = V.derivative(xs[0], order)
         assert type(value) is float
         assert value == _full_basis(terms, xs[0], order), order
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=trig_models(), K=st.floats(0.3, 20.0))
+def test_growth_is_least_at_the_edge_of_the_band(model, K):
+    # H_p p - H = m p^2/2 - m b^2/2 - e0 - V grows with |p|: sampling |p| = K
+    # gives the minimum over the band [K, 3K]
+    model = replace(model, growth_constant=K)
+    assert verify_hypotheses(model).growth_min == pytest.approx(
+        band_growth_min(model), rel=1e-12, abs=1e-12)

@@ -229,7 +229,7 @@ def test_unreached_states_are_inf_not_sentinel(bench_model):
     grid = GridSpec(200, 8)
     kernels = build_kernels(bench_model, grid, vmax=0.5)
     c = critical_value(kernels).c
-    fld = anchored_barrier(kernels, c, 0.0, window=1, min_sweeps=14)
+    fld = anchored_barrier(kernels, c, 0.0, window=1)
     # converged fields are finite everywhere and never NaN
     assert np.all(np.isfinite(fld.h))
     assert not np.any(np.isnan(fld.phi_pot))
