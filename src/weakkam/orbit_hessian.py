@@ -3,12 +3,12 @@
 Along a hyperbolic orbit the barrier anchored at the orbit is twice
 differentiable, and its spatial Hessian P(t) is the slope of the unstable
 subspace of the linearized flow dx' = m dp, dp' = -V''(x + w t) dx, written
-as a graph dp = P(t) dx; it solves the Riccati equation P' + V'' + m P^2 = 0.  Propagating
-the unstable eigenvector of the monodromy is unconditionally stable (the
-direction is attracting under the tangent flow), unlike direct integration of
-the Riccati equation which can blow up in finite time.  The tangent flow is
-integrated once per orbit: the frames are the fundamental matrices the orbit
-kept from its verification pass.
+as a graph dp = P(t) dx; P solves the Riccati equation P' + V'' + m P^2 = 0.
+Propagating the unstable eigenvector of the monodromy is unconditionally
+stable (the direction is attracting under the tangent flow), unlike direct
+integration of the Riccati equation which can blow up in finite time.  The
+tangent flow is integrated once per orbit: the frames are the fundamental
+matrices the orbit kept from its verification pass.
 """
 
 from __future__ import annotations

@@ -145,7 +145,7 @@ def test_benchmark_potential_curvatures():
 
 def band_growth_min(model):
     """Least growth expression over 64 values of |p| in [K, 3K] on the 128 x 32
-    (x, t) lattice: the sampling of the check before it used |p| = K alone."""
+    (x, t) lattice, the reference for verify_hypotheses' evaluation at |p| = K."""
     K = model.growth_constant
     xs, ts = np.arange(128) / 128, np.arange(32) / 32
     xg, tg = np.meshgrid(xs, ts, indexing="ij")
