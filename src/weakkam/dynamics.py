@@ -13,7 +13,7 @@ verification pass, so each orbit's period is integrated once and the
 unstable-subspace Hessian reads the stored frames.
 
 The flow is integrated one scalar point at a time, so a step works in floats
-throughout: the potential's scalar (V, V', V''), and the 2x2 tangent algebra
+throughout: the potential's scalar (V', V''), and the 2x2 tangent algebra
 (stage slopes, one-step propagator, accumulated fundamental matrix) as
 row-major 4-tuples rather than numpy arrays, whose per-call overhead would
 dwarf the arithmetic.
@@ -98,7 +98,7 @@ class PeriodicOrbit:
 def _rhs_jac(model: HamiltonianModel, x: float, p: float, t: float):
     """Vector field (m (p + b), -V'(y)) and its row-major Jacobian (0, m, -V''(y), -0)."""
     m = model.mass
-    _, v1, v2 = model.potential.jet(model.wave_coordinate(x, t))
+    v1, v2 = model.potential.jet(model.wave_coordinate(x, t))
     return m * (p + model.momentum_offset), -v1, (0.0, m, -v2, -0.0)
 
 

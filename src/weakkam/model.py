@@ -19,10 +19,12 @@ Potentials are finite trigonometric series, so every spatial derivative is
 exact and 1-periodicity holds to rounding error.  The series is held once, as
 the coefficients (A_n, B_n) of V^(n)(x) = sum A_n cos(w x) + B_n sin(w x);
 every derivative is a rotation of (c, s) scaled by w^n.  Arrays are summed
-against these coefficients by numpy, and the flow's (V, V', V'') at one
+against these coefficients by numpy, and the flow's (V', V'') at one
 scalar y takes the same coefficients through plain float arithmetic with one
 math.cos/math.sin pair per term, which the RK4 flow calls hundreds of
-thousands of times.  All other evaluators broadcast over numpy arrays.
+thousands of times.  The viscous march reads V(x + u) at fixed nodes x for
+many shifts u, by angle addition from the nodes' cos/sin (``node_basis``,
+``translates``).  All other evaluators broadcast over numpy arrays.
 """
 
 from __future__ import annotations
@@ -89,8 +91,8 @@ class PotentialSpec:
 
     @cached_property
     def _scalar_rows(self):
-        """Per term: w and the (A, B) pairs of V, V', V'' as Python floats."""
-        cols = [self._modes[0]] + [v for n in range(3) for v in self._coefficients(n)]
+        """Per term: w and the (A, B) pairs of V', V'' as Python floats."""
+        cols = [self._modes[0]] + [v for n in (1, 2) for v in self._coefficients(n)]
         return tuple(zip(*(col.tolist() for col in cols)))
 
     def _angles(self, x):
@@ -115,14 +117,39 @@ class PotentialSpec:
         return val if val.shape else float(val)
 
     def jet(self, y: float):
-        """(V, V', V'') at the scalar y as floats, from one cos/sin pair per term."""
-        v0 = v1 = v2 = 0.0
-        for w, a0, b0, a1, b1, a2, b2 in self._scalar_rows:
+        """(V', V'') at the scalar y as floats, from one cos/sin pair per term."""
+        v1 = v2 = 0.0
+        for w, a1, b1, a2, b2 in self._scalar_rows:
             cw, sw = math.cos(w * y), math.sin(w * y)
-            v0 += a0 * cw + b0 * sw
             v1 += a1 * cw + b1 * sw
             v2 += a2 * cw + b2 * sw
-        return v0, v1, v2
+        return v1, v2
+
+    def node_basis(self, x):
+        """cos(w x) and sin(w x) at the points x, one row per term, for ``translates``."""
+        ang = np.multiply.outer(self._modes[0], np.asarray(x, dtype=float))
+        return np.cos(ang), np.sin(ang)
+
+    def translates(self, basis, u):
+        """V(x + u) at the points of ``basis``, one row per shift u.
+
+        Angle addition gives V(x + u) = sum cos(w x) (c cos(w u) + s sin(w u))
+        + sin(w x) (s cos(w u) - c sin(w u)), so a shift costs one cos/sin
+        pair per term.  The terms are summed by elementwise multiply-add, not
+        by a matrix product, so each row has the same bits however many shifts
+        are asked for at once.
+        """
+        w, c, s = self._modes
+        ang = np.multiply.outer(np.asarray(u, dtype=float), w)
+        cu, su = np.cos(ang), np.sin(ang)
+        a, b = c * cu + s * su, s * cu - c * su
+        cx, sx = basis
+        out = np.zeros(ang.shape[:-1] + cx.shape[1:])
+        term = np.empty_like(out)   # in place: fresh temporaries this size cost more than the sums
+        for k in range(w.size):
+            out += np.multiply(a[..., k, None], cx[k], out=term)
+            out += np.multiply(b[..., k, None], sx[k], out=term)
+        return out
 
     def value(self, x):
         return self.derivative(x, 0)

@@ -41,7 +41,21 @@ def test_equal_trees_compare_equal_and_changed_outputs_are_reported(tmp_path, ca
     assert "1 of 1 files differ" in out
 
 
+def test_tolerance_reports_deviations_and_keeps_statuses_exact(tmp_path, capsys):
+    runs = (("tiny.json", "critical"),)
+    a, b, d = tree(tmp_path / "a", 32), tree(tmp_path / "b", 32), tree(tmp_path / "d", 1)
+    assert equivalence.equivalence(a, b, runs, tol=1e-10) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "0_tiny_critical: exit 0/0, [critical] PASS"
+    assert out[1].startswith("0_tiny_critical/critical_")
+    assert out[1].endswith(".json: largest deviation 0")
+    assert out[2:] == ["1 files equal"]
+    assert equivalence.equivalence(a, d, runs, tol=1.0) == 1
+    assert "MOVED" in capsys.readouterr().out
+
+
 def test_usage_and_tree_check(tmp_path, capsys):
     assert equivalence.main([str(tmp_path)]) == 2
+    assert equivalence.main([str(tmp_path), str(tmp_path), "--tol"]) == 2
     assert equivalence.main([str(tmp_path), str(tmp_path)]) == 2
     assert "no src/weakkam" in capsys.readouterr().err

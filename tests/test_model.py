@@ -295,15 +295,35 @@ def test_one_form_duality_and_rescaling(base, N, x, p, t):
 def test_scalar_jet_matches_array_jet(model, x, p, t):
     # the flow's float path and the vectorised path read one coefficient table
     y = model.wave_coordinate(x, t)
-    jet = model.potential.jet(y)
-    for n, value in enumerate(jet):
+    v1, v2 = model.potential.jet(y)
+    for n, value in ((1, v1), (2, v2)):
         assert type(value) is float, n
         assert value == pytest.approx(model.potential.derivative(y, n),
                                       rel=1e-12, abs=1e-12), n
     dx, dp, jac = _rhs_jac(model, x, p, t)
     assert all(type(v) is float for v in (dx, dp, *jac))
-    assert (dx, dp) == (model.mass * (p + model.momentum_offset), -jet[1])
-    assert jac == (0.0, model.mass, -jet[2], 0.0)
+    assert (dx, dp) == (model.mass * (p + model.momentum_offset), -v1)
+    assert jac == (0.0, model.mass, -v2, 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=trig_models(), taus=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=6))
+def test_angle_addition_table_matches_the_potential(model, taus):
+    # the viscous march's W(x, tau) = V(x + w tau) from the nodes' cos/sin;
+    # a row of a many-time source table has the bits of the one-time table
+    from weakkam.viscous import _source_table
+
+    xs = np.arange(48) / 48
+    tau = np.array(taus)
+    basis = model.potential.node_basis(xs)
+    table = model.potential.translates(basis, model.speed * tau)
+    tol = 1e-12 * (1 + sum(abs(c) + abs(s) for _, c, s in model.potential.terms))
+    assert np.max(np.abs(table - model.potential_value(xs, tau[:, None]))) <= tol
+    ds = 1.0 / 2848
+    rows = _source_table(model, basis, tau, ds)
+    assert rows.shape == ((len(tau) if model.speed else 1), xs.size)
+    for i, row in enumerate(np.broadcast_to(rows, (len(tau), xs.size))):
+        assert np.array_equal(row, _source_table(model, basis, tau[i:i + 1], ds)[0])
 
 
 def _full_basis(terms, x, order):

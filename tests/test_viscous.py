@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weakkam.errors import ConfigError, NumericalQualityError
-from weakkam.model import HamiltonianModel, benchmark_potential
+from weakkam.model import (FAMILIES, SHIFTED_KINETIC, TRAVELING_WAVE, HamiltonianModel,
+                           PotentialSpec)
 from weakkam.variational import GridSpec
 from weakkam.viscous import (_march_period, cfl_timestep, lipschitz_constant,
                              residual_check, semiconvexity_constant, solve_cell,
@@ -184,3 +186,79 @@ def test_rescaled_model_marches_the_rescaled_cell_problem(tw_model):
     coarse = solve_cell(rmodel, N * eps, GridSpec(64, 8 * N))
     h_p_max = rmodel.mass * (coarse.lip_cap + abs(rmodel.momentum_offset))
     assert coarse.ds * h_p_max <= 0.45 * coarse.grid.dx
+
+
+def _unfolded_step(chi, w, ds, dx, eps, m, b, e0, q_cap):
+    """The step before the folding: rolled neighbours and H assembled term by term."""
+    left = np.concatenate((chi[-1:], chi[:-1]))
+    right = np.concatenate((chi[1:], chi[:1]))
+    pm = (chi - left) / dx
+    pp = (right - chi) / dx
+    lap = (left + right - 2.0 * chi) / (dx * dx)
+    alpha = np.minimum(np.maximum(np.abs(pm + b), np.abs(pp + b)), q_cap)
+    q = 0.5 * (pm + pp) + b
+    half_m = 0.5 * m
+    h_num = half_m * q * q + e0 + w + half_m * alpha * (pp - pm)
+    return chi + ds * (eps * lap + h_num)
+
+
+def _unfolded_march_period(model, chi, S, grid, m_sub, ds, eps, lip_cap, snaps):
+    """``_march_period`` before the folding: W from ``potential_value`` at every node."""
+    nt, nx = grid.nt, grid.nx
+    xs = grid.nodes()
+    m, b, e0 = model.mass, model.momentum_offset, model.energy_offset
+    q_cap = lip_cap + abs(b)
+    offsets = np.arange(m_sub) * ds
+    for j in range(nt):
+        snaps[:, j] = chi
+        s = S + j / nt + offsets
+        table = np.broadcast_to(model.potential_value(xs, -s[:, None]), (m_sub, nx))
+        for w in table:
+            chi = _unfolded_step(chi, w, ds, grid.dx, eps, m, b, e0, q_cap)
+    return chi
+
+
+@pytest.mark.parametrize("which, shape, eps", [("tw", (160, 16), 0.025),
+                                               ("bench", (160, 32), 0.02),
+                                               ("shifted", (100, 16), 0.01)])
+def test_folded_step_matches_the_unfolded_reference(which, shape, eps, tw_model, bench_model,
+                                                    monkeypatch):
+    # the folded kernel and the angle-addition table are the same scheme in
+    # exact arithmetic: whole solves agree to rounding, in the same periods
+    import weakkam.viscous as viscous
+
+    model = {"tw": tw_model, "bench": bench_model,
+             "shifted": HamiltonianModel(family=SHIFTED_KINETIC, momentum_shift=0.7)}[which]
+    grid = GridSpec(*shape)
+    sol = solve_cell(model, eps, grid)
+    monkeypatch.setattr(viscous, "_march_period", _unfolded_march_period)
+    ref = solve_cell(model, eps, grid)
+    assert sol.n_periods == ref.n_periods
+    assert abs(sol.c_eps - ref.c_eps) <= 1e-12
+    assert np.max(np.abs(sol.phi - ref.phi)) <= 1e-10
+
+
+@st.composite
+def small_models(draw):
+    """A family and a mild random trig potential it admits."""
+    family = draw(st.sampled_from(FAMILIES))
+    wind = draw(st.sampled_from((1, 2))) if family == TRAVELING_WAVE else 1
+    terms = [(k, draw(st.floats(-0.3, 0.3)), draw(st.floats(-0.3, 0.3)))
+             for k in draw(st.lists(st.sampled_from(range(wind, 4, wind)), min_size=1,
+                                    max_size=3))]
+    return HamiltonianModel(family=family, potential=PotentialSpec.from_terms(terms),
+                            momentum_shift=draw(st.floats(-0.5, 0.5))
+                            if family == SHIFTED_KINETIC else 0.0, wind=wind)
+
+
+@settings(max_examples=15, deadline=None)
+@given(model=small_models(), a=st.floats(-1.0, 1.0), eps=st.sampled_from((0.05, 0.1)))
+def test_constant_added_to_v_shifts_c_and_keeps_phi(model, a, eps):
+    # H + a has the cell solution (phi, c(eps) + a)
+    grid = GridSpec(32, 8)
+    shifted = HamiltonianModel(
+        family=model.family, momentum_shift=model.momentum_shift, wind=model.wind,
+        potential=PotentialSpec.from_terms(model.potential.terms + ((0, a, 0.0),)))
+    sol, sol_a = solve_cell(model, eps, grid), solve_cell(shifted, eps, grid)
+    assert abs(sol_a.c_eps - (sol.c_eps + a)) <= 1e-12
+    assert np.max(np.abs(sol_a.phi - sol.phi)) <= 1e-10

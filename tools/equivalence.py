@@ -1,6 +1,6 @@
 """Run the same ``wkam`` commands on two source trees and compare the artifacts.
 
-Usage: python tools/equivalence.py TREE_A TREE_B
+Usage: python tools/equivalence.py TREE_A TREE_B [--tol T]
 
 Each run imports ``weakkam`` from the tree's own ``src`` and reads its config
 from the tree, with the tree as working directory:
@@ -13,10 +13,13 @@ from the tree, with the tree as working directory:
     configs/traveling_wave.json         example
 
 The artifacts of both trees go to a temporary directory, one subdirectory per
-run, and are compared with ``diff_artifacts.compare``.  The script prints, for
-each run, the stage verdicts of both trees, then every artifact that differs.
-It exits 0 when every exit status, every verdict and every artifact is equal
-(``N files equal``), and 1 otherwise.  The shipped-config runs take minutes.
+run, and are compared with ``diff_artifacts.compare``, exactly or, with
+``--tol T``, with floats matching to the relative tolerance T (see that
+module; each file's largest deviation is then printed).  The script prints,
+for each run, the stage verdicts of both trees, then every artifact that
+differs.  It exits 0 when every exit status, every verdict and every artifact
+matches (``N files equal``), and 1 otherwise.  Exit statuses and verdicts are
+always compared exactly.  The shipped-config runs take minutes.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from diff_artifacts import compare  # noqa: E402
+from diff_artifacts import compare, print_comparison, split_tol  # noqa: E402
 
 RUNS = (
     ("bench/configs/traveling_wave.json", "all"),
@@ -38,7 +41,7 @@ RUNS = (
     ("configs/traveling_wave.json", "rescale"),
     ("configs/traveling_wave.json", "example"),
 )
-USAGE = "usage: python tools/equivalence.py TREE_A TREE_B"
+USAGE = "usage: python tools/equivalence.py TREE_A TREE_B [--tol T]"
 CLI = "import sys; from weakkam.cli import main; sys.exit(main())"
 
 
@@ -64,7 +67,7 @@ def run_tree(tree: Path, out: Path, runs=RUNS) -> list[tuple[int, list[str]]]:
     return outcomes
 
 
-def equivalence(tree_a: Path, tree_b: Path, runs=RUNS) -> int:
+def equivalence(tree_a: Path, tree_b: Path, runs=RUNS, tol: float | None = None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         out_a, out_b = Path(tmp) / "a", Path(tmp) / "b"
         outcomes = zip(run_tree(tree_a, out_a, runs), run_tree(tree_b, out_b, runs))
@@ -76,17 +79,16 @@ def equivalence(tree_a: Path, tree_b: Path, runs=RUNS) -> int:
                   + ("" if same else f" / {' '.join(b[1]) or '(no stages)'}  MOVED"))
         out_a.mkdir(exist_ok=True)
         out_b.mkdir(exist_ok=True)
-        n, report = compare(out_a, out_b)
-    if report:
-        print("\n".join(report))
-        print(f"{len(report)} of {n} files differ")
-    else:
-        print(f"{n} files equal")
+        n, report, deviations = compare(out_a, out_b, tol)
+    print_comparison(n, report, deviations)
     return 1 if report or moved else 0
 
 
 def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
+    try:
+        args, tol = split_tol(sys.argv[1:] if argv is None else argv)
+    except ValueError:
+        args = []
     if len(args) != 2:
         print(USAGE, file=sys.stderr)
         return 2
@@ -95,7 +97,7 @@ def main(argv=None) -> int:
         if not (tree / "src" / "weakkam").is_dir():
             print(f"not a source tree (no src/weakkam): {tree}", file=sys.stderr)
             return 2
-    return equivalence(*trees)
+    return equivalence(*trees, tol=tol)
 
 
 if __name__ == "__main__":
