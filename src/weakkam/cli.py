@@ -28,10 +28,6 @@ from .viscous import residual_check, solve_cell  # noqa: F401
 from .vv_analysis import Artifacts, example_verify, rescale_check, slope_fit, sweep
 from .stochastic import DriftField, exit_time_scaling, lax_residual
 
-COMMANDS = ("orbits", "critical", "barrier", "viscous", "sweep", "rescale",
-            "example", "stochastic", "all")
-
-
 # the keys each config block may carry, by dotted path ("" is the top level)
 CONFIG_KEYS = {
     "": ("model", "grid", "numerics", "sweep", "stochastic", "output"),
@@ -373,6 +369,10 @@ class _Pipeline(Artifacts):
     }
 
 
+# the stages in run order, then "all", which runs every stage the config supports
+COMMANDS = (*_Pipeline.STAGES, "all")
+
+
 def run_config(path: str, command: str, out_dir: str | None = None,
                seed_override: int | None = None) -> int:
     """Execute a pipeline command; returns the process exit status.
@@ -397,9 +397,7 @@ def run_config(path: str, command: str, out_dir: str | None = None,
         print(f"unknown command {command!r}; choose from {COMMANDS}",
               file=sys.stderr)
         return 1
-    names = [c for c in ("orbits", "critical", "barrier", "viscous", "sweep",
-                         "rescale", "example", "stochastic")
-             if command == "all" or c == command]
+    names = list(_Pipeline.STAGES) if command == "all" else [command]
     if command == "all":
         # the example stage only applies to traveling-wave configs
         if cfg["model"].get("family") != "traveling_wave":

@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import IntegrationError, NumericalQualityError, OrbitNotFoundError, WeakKamError
 from .model import HamiltonianModel
@@ -289,33 +288,33 @@ def orbit_window(orbits: list[PeriodicOrbit]) -> int:
 
 
 def potential_maxima(model: HamiltonianModel) -> list[float]:
-    """Nondegenerate maxima of the potential in [0, 1/k) via sign changes of V'."""
+    """Nondegenerate maxima of the potential in [0, 1/k), in increasing order.
+
+    V' is sampled at ``SCAN_POINTS`` points x_i of the cell, reading V'(1/k)
+    as V'(0), and every interval [x_i, x_i+1] with V'(x_i) > 0 >= V'(x_i+1)
+    (a falling sign change) holds one maximum.  All these intervals are
+    bisected together, on vectorised V', until no midpoint lies strictly
+    inside its interval; of its two ends, the one with the smaller |V'|,
+    wrapped into the cell, is the root.  Roots with V'' >= -1e-8 are
+    dropped as degenerate.  Each interval gives one root, so no maximum is
+    returned twice.
+    """
     cell = 1.0 / model.cells
-    xs = np.linspace(0.0, cell, SCAN_POINTS, endpoint=False)
-    d1 = model.potential.d1(xs)
-    maxima = []
-    for i in range(SCAN_POINTS):
-        # the sign test reads both ends from the one vectorised sample
-        # (V'(cell) = V'(0)); at a root lying on a scan point the scalar V'
-        # that brentq evaluates can differ from it in sign, and the root is
-        # then the end where the scalar |V'| is smaller
-        a, b = xs[i], xs[i + 1] if i + 1 < SCAN_POINTS else cell
-        fa, fb = d1[i], d1[(i + 1) % SCAN_POINTS]
-        if fa == 0.0:
-            root = float(a)
-        elif fa * fb < 0.0:
-            ga, gb = model.potential.d1(a), model.potential.d1(b)
-            if ga * gb <= 0.0:
-                root = float(brentq(model.potential.d1, a, b, xtol=1e-14))
-            else:
-                root = float(a if abs(ga) < abs(gb) else b)
-        else:
-            continue
-        if model.potential.d2(root) < -1e-8:
-            if not any(abs(root - m) < 1e-9 or abs(abs(root - m) - cell) < 1e-9
-                       for m in maxima):
-                maxima.append(root)
-    return sorted(maxima)
+    d1 = model.potential.d1
+    xs = np.linspace(0.0, cell, SCAN_POINTS + 1)
+    slope = d1(xs[:-1])
+    falling = (slope > 0.0) & (np.roll(slope, -1) <= 0.0)
+    lo, hi = xs[:-1][falling], xs[1:][falling]
+    while True:
+        mid = 0.5 * (lo + hi)
+        inside = (lo < mid) & (mid < hi)
+        if not inside.any():
+            break
+        rising = d1(mid) > 0.0
+        lo = np.where(inside & rising, mid, lo)
+        hi = np.where(inside & ~rising, mid, hi)
+    roots = np.sort(np.where(np.abs(d1(lo)) < np.abs(d1(hi)), lo, hi) % cell)
+    return roots[model.potential.d2(roots) < -1e-8].tolist()
 
 
 def aubry_orbits(model: HamiltonianModel,
@@ -326,26 +325,20 @@ def aubry_orbits(model: HamiltonianModel,
     nondegenerate maximum x_m of V, so x' = H_p = -w fixes the momentum,
     p = -w/m - b.  The orbit closes after k periods (k = 1 when w = 0;
     w = 1/k otherwise) with winding -1 when w != 0 and 0 when w = 0.
-    Candidates are not confirmed here: confirmation needs the anchored
-    barriers (see ``vv_analysis.Artifacts``).
+    The maxima are distinct and each shot starts on its own rest orbit
+    x = x_m - w t, so the candidates are distinct by construction.  They are
+    not confirmed here: confirmation needs the anchored barriers (see
+    ``vv_analysis.Artifacts``).
     """
     p_rest = -model.speed / model.mass - model.momentum_offset
     winding = -1 if model.speed else 0
     orbits: list[PeriodicOrbit] = []
     for xm in potential_maxima(model):
         try:
-            orbit = find_periodic_orbit(model, PhasePoint(xm, p_rest, 0.0), model.cells,
-                                        winding, shoot_tol=shoot_tol)
+            orbits.append(find_periodic_orbit(model, PhasePoint(xm, p_rest, 0.0), model.cells,
+                                              winding, shoot_tol=shoot_tol))
         except (OrbitNotFoundError, IntegrationError):
             continue
-        for n, kept in enumerate(orbits):
-            if abs(kept.anchor.x - orbit.anchor.x) < 1e-6 and \
-               abs(kept.anchor.p - orbit.anchor.p) < 1e-6:
-                if orbit.residual < kept.residual:
-                    orbits[n] = orbit
-                break
-        else:
-            orbits.append(orbit)
     if not orbits:
         raise WeakKamError("no Aubry orbit candidates survived")
     return orbits

@@ -4,6 +4,8 @@ import importlib
 import inspect
 import json
 import math
+import os
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -277,6 +279,22 @@ def test_main_entrypoint(tmp_path):
     assert main(["--config", str(path), "--command", "critical"]) == 0
     assert main(["--config", str(tmp_path / "absent.json"),
                  "--command", "critical"]) == 1
+
+
+def test_a_run_loads_no_scipy(tmp_path):
+    # numpy is the only runtime dependency; scipy serves the tests as an oracle
+    path = write_config(tmp_path)
+    code = ("import sys, weakkam, weakkam.cli\n"
+            f"status = weakkam.cli.run_config({str(path)!r}, 'orbits')\n"
+            "print(status, sorted(m for m in sys.modules\n"
+            "                    if m == 'scipy' or m.startswith('scipy.')))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 FULL_CONFIG = {

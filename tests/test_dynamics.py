@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from weakkam.dynamics import (PhasePoint, aubry_orbits, classify_orbit,
+from weakkam.dynamics import (SCAN_POINTS, PhasePoint, aubry_orbits, classify_orbit,
                               find_periodic_orbit, integrate, potential_maxima)
-from weakkam.errors import IntegrationError, WeakKamError
-from weakkam.model import HamiltonianModel, PotentialSpec, benchmark_potential
+from weakkam.errors import IntegrationError, OrbitNotFoundError, WeakKamError
+from weakkam.model import (FAMILIES, TRAVELING_WAVE, HamiltonianModel, PotentialSpec,
+                           benchmark_potential)
 from weakkam.variational import GridSpec
 from weakkam.vv_analysis import Artifacts
 
@@ -119,20 +121,69 @@ def test_traveling_wave_orbit(tw_model):
 
 
 def test_potential_maxima(bench_model, tw_model):
-    assert potential_maxima(bench_model) == pytest.approx([0.0, 0.5], abs=1e-10)
-    assert potential_maxima(tw_model) == pytest.approx([0.0], abs=1e-10)
+    # exact: criterion 4 compares the selected anchor with 0.5 by ==
+    assert potential_maxima(bench_model) == [0.0, 0.5]
+    assert potential_maxima(tw_model) == [0.0]
 
 
-@pytest.mark.parametrize("shift", [3 / 32, 37 / 256])
-def test_potential_maxima_on_scan_points(bench_potential, shift):
-    # V_s(x) = V(x + shift) has its maxima at 1/2 - shift and 1 - shift, both
-    # exactly on points of the 4096-point scan.  At 3/32 the maximum at 13/32
-    # used to be dropped; at 37/256 brentq used to refuse the bracket.
-    w = TWO_PI * np.array([k for k, _, _ in bench_potential.terms]) * shift
-    terms = [(k, c * math.cos(a) + s * math.sin(a), s * math.cos(a) - c * math.sin(a))
-             for (k, c, s), a in zip(bench_potential.terms, w)]
-    m = HamiltonianModel(family="mechanical", potential=PotentialSpec.from_terms(terms))
-    assert potential_maxima(m) == pytest.approx([0.5 - shift, 1.0 - shift], abs=1e-10)
+def circle_gap(a, b, period=1.0):
+    d = np.abs(np.asarray(a) - np.asarray(b)) % period
+    return np.minimum(d, period - d)
+
+
+def test_potential_maxima_of_every_scan_translation(bench_potential):
+    # V_s(x) = V(x + s) for each scan point s = j/4096 has its maxima at
+    # 1/2 - s and 1 - s (mod 1), both exactly on points of the scan.  At
+    # s = 3/32 the maximum at 13/32 was once dropped, and at s = 37/256 a
+    # scalar root finder once refused the bracket.
+    ks = np.array([k for k, _, _ in bench_potential.terms])
+    for j in range(SCAN_POINTS):
+        s = j / SCAN_POINTS
+        a = TWO_PI * ks * s
+        terms = [(k, c * math.cos(t) + sn * math.sin(t), sn * math.cos(t) - c * math.sin(t))
+                 for (k, c, sn), t in zip(bench_potential.terms, a)]
+        m = HamiltonianModel(family="mechanical", potential=PotentialSpec.from_terms(terms))
+        found = potential_maxima(m)
+        expected = np.sort(np.mod([0.5 - s, 1.0 - s], 1.0))
+        assert len(found) == 2 and all(0.0 <= x < 1.0 for x in found), j
+        assert np.max(circle_gap(found, expected)) <= 1e-10, j
+
+
+@st.composite
+def cell_models(draw):
+    """A family, k in {1, 2, 3} and a random 1/k-periodic trig potential.
+
+    The traveling wave takes wind k, so its cell is [0, 1/k); the other
+    families scan the whole circle.
+    """
+    family = draw(st.sampled_from(FAMILIES))
+    k = draw(st.sampled_from((1, 2, 3)))
+    coeff = st.floats(-1.0, 1.0)
+    terms = [(k * n, draw(coeff), draw(coeff))
+             for n in draw(st.lists(st.integers(0, 4), min_size=1, max_size=4))]
+    return HamiltonianModel(family=family, potential=PotentialSpec.from_terms(terms),
+                            wind=k if family == TRAVELING_WAVE else 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=cell_models())
+def test_potential_maxima_are_the_falling_roots_of_v_prime(model):
+    cell = 1.0 / model.cells
+    V = model.potential
+    ref = np.arange(65536) / 65536 * cell
+    slope = V.d1(ref)
+    falling = (slope > 0.0) & (np.roll(slope, -1) <= 0.0)
+    # the finder drops maxima with V'' >= -1e-8, which the reference cannot
+    # resolve: leave out potentials with a near-degenerate one
+    assume(np.all(np.abs(V.d2(ref[falling])) > 1e-6))
+    found = np.array(potential_maxima(model))
+    scale = 1.0 + sum(k * (abs(c) + abs(s)) for k, c, s in V.terms)
+    assert found.size == np.count_nonzero(falling)
+    assert np.all((0.0 <= found) & (found < cell))
+    assert np.all(np.diff(found) > 0.0)
+    if found.size:
+        assert np.all(V.d2(found) < -1e-8)
+        assert np.max(np.abs(V.d1(found))) <= 1e-10 * scale
 
 
 def test_aubry_orbits_benchmark(bench_orbits):
@@ -148,6 +199,36 @@ def test_aubry_orbits_single_maximum():
     orbits = aubry_orbits(m)
     assert len(orbits) == 1
     assert orbits[0].anchor.x == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("case", ["bench", "tw", "shifted", "single", "two_levels"])
+def test_aubry_orbit_anchors_are_the_maxima(case, bench_model, tw_model):
+    # each candidate is shot from its own rest orbit and stays there: the
+    # anchors of the orbits found are the maxima whose shots succeed
+    model = {
+        "bench": bench_model,
+        "tw": tw_model,
+        "shifted": HamiltonianModel(family="shifted_kinetic", momentum_shift=0.4,
+                                    potential=benchmark_potential()),
+        "single": HamiltonianModel(family="mechanical", potential=PotentialSpec.from_terms(
+            [(0, -0.5, 0.0), (1, 0.5, 0.0)])),
+        "two_levels": HamiltonianModel(family="mechanical", potential=PotentialSpec.from_terms(
+            [(0, -0.6, 0.0), (1, 0.1, 0.0), (2, 0.5, 0.0), (3, 0.05, 0.2)])),
+    }[case]
+    tol = 1e-5 if model.speed else 1e-10
+    p_rest = -model.speed / model.mass - model.momentum_offset
+    winding = -1 if model.speed else 0
+    shot = []
+    for xm in potential_maxima(model):
+        try:
+            find_periodic_orbit(model, PhasePoint(xm, p_rest), model.cells, winding,
+                                shoot_tol=tol)
+        except (OrbitNotFoundError, IntegrationError):
+            continue
+        shot.append(xm)
+    anchors = [o.anchor.x for o in aubry_orbits(model, shoot_tol=tol)]
+    assert len(anchors) == len(shot) > 0
+    assert np.max(circle_gap(anchors, shot)) <= 1e-12
 
 
 def test_aubry_orbits_traveling_wave(tw_model):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from weakkam.errors import ConfigError, WeakKamError
-from weakkam.model import HamiltonianModel, PotentialSpec, benchmark_potential
+from weakkam.model import (FAMILIES, SHIFTED_KINETIC, TRAVELING_WAVE, HamiltonianModel,
+                           PotentialSpec, benchmark_potential)
 from weakkam.variational import (GridSpec, action_potential_pair, anchored_barrier,
                                  aubry_verify, barrier_matrix, build_kernels,
                                  compose_period, critical_value)
@@ -77,6 +78,49 @@ def test_constant_shift_property(bench_potential):
     c1 = critical_value(build_kernels(m1, grid)).c
     c2 = critical_value(build_kernels(m2, grid)).c
     assert c2 - c1 == pytest.approx(-a, abs=1e-12)
+
+
+@st.composite
+def mild_models(draw):
+    """A family and a mild random trig potential it admits, resting on its maxima.
+
+    Each frequency carries an amplitude of at least 0.1 and the momentum
+    shift is at most 0.2, so the Aubry set rests at maxima of V as the
+    paper assumes.  A weaker potential under a larger shift has a rotating
+    Aubry set, on which the coarse grid's barrier iteration need not settle.
+    """
+    family = draw(st.sampled_from(FAMILIES))
+    wind = draw(st.sampled_from((1, 2))) if family == TRAVELING_WAVE else 1
+    terms = []
+    for k in draw(st.lists(st.sampled_from(range(wind, 4, wind)), min_size=1, max_size=3,
+                           unique=True)):
+        r, angle = draw(st.floats(0.1, 0.3)), draw(st.floats(0.0, 2 * math.pi))
+        terms.append((k, r * math.cos(angle), r * math.sin(angle)))
+    return HamiltonianModel(family=family, potential=PotentialSpec.from_terms(terms),
+                            momentum_shift=draw(st.floats(-0.2, 0.2))
+                            if family == SHIFTED_KINETIC else 0.0, wind=wind)
+
+
+@settings(max_examples=15, deadline=None)
+@given(model=mild_models(), a=st.floats(-1.0, 1.0),
+       shape=st.sampled_from(((32, 8), (64, 8))))
+def test_constant_added_to_v_shifts_c0_and_keeps_the_barrier(model, a, shape):
+    # the Lagrangian of V + a is L - a, so c(0) gains a and, charged at the
+    # new c, every path's cost is unchanged: so is the anchored barrier
+    grid = GridSpec(*shape)
+    shifted = HamiltonianModel(
+        family=model.family, momentum_shift=model.momentum_shift, wind=model.wind,
+        potential=PotentialSpec.from_terms(model.potential.terms + ((0, a, 0.0),)))
+    kernels, kernels_a = build_kernels(model, grid), build_kernels(shifted, grid)
+    c, c_a = critical_value(kernels).c, critical_value(kernels_a).c
+    assert abs(c_a - (c + a)) <= 1e-12
+    nodes = grid.nodes()
+    anchor = float(nodes[np.argmax(model.potential.value(nodes))])
+    h = anchored_barrier(kernels, c, anchor, window=model.cells).h
+    h_a = anchored_barrier(kernels_a, c_a, anchor, window=model.cells).h
+    assert np.array_equal(np.isinf(h), np.isinf(h_a))
+    finite = np.isfinite(h)
+    assert np.max(np.abs(h_a[finite] - h[finite])) <= 1e-10
 
 
 def test_shifted_kinetic_integer_velocity_grid():
