@@ -197,15 +197,18 @@ def compose_period(kernels: ActionKernelSet) -> np.ndarray:
             if n:
                 power = _minplus_product(power, power)
         return result
+    # in place: an nx x nx temporary per offset and substep churns the
+    # allocator (a page fault per 4 KB when the heap is trimmed between them)
     W = _dense_from_kernel(kernels.costs[0], offsets, nx)
+    W_new, cand = np.empty((nx, nx)), np.empty((nx, nx))
     for j in range(1, nt):
         cj = kernels.costs[j]
-        W_new = np.full((nx, nx), INF)
+        W_new.fill(INF)
         for i, d in enumerate(offsets):
             src = (cols - d) % nx
-            cand = W[:, src] + cj[i, src][None, :]
+            np.add(np.take(W, src, axis=1, out=cand), cj[i, src], out=cand)
             np.minimum(W_new, cand, out=W_new)
-        W = W_new
+        W, W_new = W_new, W
     return W
 
 

@@ -7,9 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 from weakkam.errors import ConfigError, WeakKamError
 from weakkam.model import (FAMILIES, SHIFTED_KINETIC, TRAVELING_WAVE, HamiltonianModel,
                            PotentialSpec, benchmark_potential)
-from weakkam.variational import (GridSpec, action_potential_pair, anchored_barrier,
-                                 aubry_verify, barrier_matrix, build_kernels,
-                                 compose_period, critical_value)
+from weakkam.variational import (GridSpec, _dense_from_kernel, action_potential_pair,
+                                 anchored_barrier, aubry_verify, barrier_matrix,
+                                 build_kernels, compose_period, critical_value)
 
 RNG = np.random.default_rng(7)
 
@@ -64,6 +64,23 @@ def test_benchmark_critical_value(bench_small_setup):
 def test_karp_power_agreement(bench_small_setup):
     cv = bench_small_setup["cv"]
     assert cv.agreement <= 1e-6
+
+
+def test_in_place_composition_matches_the_allocating_loop(tw_model):
+    # the time-dependent branch of compose_period against its loop with a
+    # fresh temporary per offset: the same sums and minima, bit for bit
+    kernels = build_kernels(tw_model, GridSpec(48, 8))
+    assert not kernels.time_independent
+    nx = kernels.grid.nx
+    cols = np.arange(nx)
+    W = _dense_from_kernel(kernels.costs[0], kernels.offsets, nx)
+    for cj in kernels.costs[1:]:
+        W_new = np.full((nx, nx), np.inf)
+        for i, d in enumerate(kernels.offsets):
+            src = (cols - d) % nx
+            np.minimum(W_new, W[:, src] + cj[i, src][None, :], out=W_new)
+        W = W_new
+    assert np.array_equal(compose_period(kernels), W)
 
 
 def test_constant_shift_property(bench_potential):
