@@ -126,6 +126,19 @@ def test_potential_maxima(bench_model, tw_model):
     assert potential_maxima(tw_model) == [0.0]
 
 
+@pytest.mark.parametrize("shift", [3 / 32, 37 / 256])
+def test_potential_maxima_on_scan_points(bench_potential, shift):
+    # V_s(x) = V(x + shift) has its maxima at 1/2 - shift and 1 - shift, both
+    # exactly on points of the 4096-point scan.  At 3/32 the maximum at 13/32
+    # used to be dropped; at 37/256 a scalar root finder used to refuse the
+    # bracket.
+    w = TWO_PI * np.array([k for k, _, _ in bench_potential.terms]) * shift
+    terms = [(k, c * math.cos(a) + s * math.sin(a), s * math.cos(a) - c * math.sin(a))
+             for (k, c, s), a in zip(bench_potential.terms, w)]
+    m = HamiltonianModel(family="mechanical", potential=PotentialSpec.from_terms(terms))
+    assert potential_maxima(m) == pytest.approx([0.5 - shift, 1.0 - shift], abs=1e-10)
+
+
 def circle_gap(a, b, period=1.0):
     d = np.abs(np.asarray(a) - np.asarray(b)) % period
     return np.minimum(d, period - d)
@@ -133,9 +146,8 @@ def circle_gap(a, b, period=1.0):
 
 def test_potential_maxima_of_every_scan_translation(bench_potential):
     # V_s(x) = V(x + s) for each scan point s = j/4096 has its maxima at
-    # 1/2 - s and 1 - s (mod 1), both exactly on points of the scan.  At
-    # s = 3/32 the maximum at 13/32 was once dropped, and at s = 37/256 a
-    # scalar root finder once refused the bracket.
+    # 1/2 - s and 1 - s (mod 1), both exactly on points of the scan; this
+    # extends the two cases above to every translation.
     ks = np.array([k for k, _, _ in bench_potential.terms])
     for j in range(SCAN_POINTS):
         s = j / SCAN_POINTS
