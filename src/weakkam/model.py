@@ -19,7 +19,9 @@ Potentials are finite trigonometric series, so every spatial derivative is
 exact and 1-periodicity holds to rounding error.  The series is held once, as
 the coefficients (A_n, B_n) of V^(n)(x) = sum A_n cos(w x) + B_n sin(w x);
 every derivative is a rotation of (c, s) scaled by w^n.  Arrays are summed
-against these coefficients by numpy, and the flow's (V', V'') at one
+against these coefficients by numpy (``derivative``), except V itself, which
+H and L read at every path-step and every kernel node: ``value`` sums it by
+Clenshaw's recurrence from one cos (and one sin).  The flow's (V', V'') at one
 scalar y takes the same coefficients through plain float arithmetic with one
 math.cos/math.sin pair per term, which the RK4 flow calls hundreds of
 thousands of times.  The viscous march reads V(x + u) at fixed nodes x for
@@ -130,29 +132,74 @@ class PotentialSpec:
         ang = np.multiply.outer(self._modes[0], np.asarray(x, dtype=float))
         return np.cos(ang), np.sin(ang)
 
-    def translates(self, basis, u):
+    def translates(self, basis, u, out=None, work=None):
         """V(x + u) at the points of ``basis``, one row per shift u.
 
         Angle addition gives V(x + u) = sum cos(w x) (c cos(w u) + s sin(w u))
         + sin(w x) (s cos(w u) - c sin(w u)), so a shift costs one cos/sin
         pair per term.  The terms are summed by elementwise multiply-add, not
         by a matrix product, so each row has the same bits however many shifts
-        are asked for at once.
+        are asked for at once.  ``out`` receives the rows and ``work`` holds
+        each term, when given (arrays of the result's shape); else both are
+        allocated here.
         """
         w, c, s = self._modes
         ang = np.multiply.outer(np.asarray(u, dtype=float), w)
         cu, su = np.cos(ang), np.sin(ang)
         a, b = c * cu + s * su, s * cu - c * su
         cx, sx = basis
-        out = np.zeros(ang.shape[:-1] + cx.shape[1:])
-        term = np.empty_like(out)   # in place: fresh temporaries this size cost more than the sums
+        shape = ang.shape[:-1] + cx.shape[1:]
+        out = np.empty(shape) if out is None else out
+        out.fill(0.0)
+        # in place: fresh temporaries this size cost more than the sums
+        term = np.empty(shape) if work is None else work
         for k in range(w.size):
             out += np.multiply(a[..., k, None], cx[k], out=term)
             out += np.multiply(b[..., k, None], sx[k], out=term)
         return out
 
+    @cached_property
+    def _series(self):
+        """Coefficients C_j, S_j of cos(2 pi j x), sin(2 pi j x) for j = 0..K, as floats."""
+        top = max((k for k, _, _ in self.terms), default=0)
+        c, s = [0.0] * (top + 1), [0.0] * (top + 1)
+        for k, ck, sk in self.terms:
+            c[k] += ck
+            s[k] += sk
+        return c, s
+
     def value(self, x):
-        return self.derivative(x, 0)
+        """V at x (broadcasts over arrays) by Clenshaw's recurrence in y = cos(2 pi x).
+
+        cos(j t) = T_j(y) and sin(j t) = sin(t) U_(j-1)(y) with t = 2 pi x, and
+        both Chebyshev families obey P_(j+1) = 2y P_j - P_(j-1).  So with
+        b_(K+1) = b_(K+2) = 0 and b_j = C_j + 2y b_(j+1) - b_(j+2) for
+        j = K..1, the cosine half is C_0 + y b_1 - b_2; the same recurrence
+        run on S_j gives beta_1, and the sine half is sin(t) beta_1.  One cos
+        is taken, and one sin when some S_j is nonzero, where ``derivative``
+        takes a cos and a sin per term.  The angle is t = 2 pi (x - rint(x)):
+        the reduction is exact and puts t in [-pi, pi], where cos and sin are
+        cheaper, so the value agrees with ``derivative(x, 0)`` to rounding and
+        does not lose the digits that 2 pi k x loses at large |x|.
+        """
+        x = np.asarray(x, dtype=float)
+        c, s = self._series
+        if len(c) == 1:
+            val = np.full(x.shape, c[0])
+        else:
+            t = TWO_PI * (x - np.rint(x))
+            y = np.cos(t)
+            two_y = y + y
+            b1, b2 = c[-1], 0.0
+            for cj in c[-2:0:-1]:
+                b1, b2 = cj + two_y * b1 - b2, b1
+            val = c[0] + y * b1 - b2
+            if any(s[1:]):
+                b1, b2 = s[-1], 0.0
+                for sj in s[-2:0:-1]:
+                    b1, b2 = sj + two_y * b1 - b2, b1
+                val = val + np.sin(t) * b1
+        return val if val.shape else float(val)
 
     def d1(self, x):
         return self.derivative(x, 1)

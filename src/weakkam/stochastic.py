@@ -29,6 +29,18 @@ X, ``exit_times`` stops paths on leaving the tube, and ``lax_residual``
 accumulates the running Lagrangian cost.  ``lax_residual`` runs the probes
 that share a start time as one ensemble, so the five default probes, all at
 t0 = 0, step together.
+
+An observer sees one block at a time: ``idx`` holds at most BLOCK_PATHS
+indices, those of the block's live paths, in increasing order.  An observer
+that never stops a path may read and write its per-path arrays through the
+contiguous slice idx[0]:idx[-1] + 1, as ``lax_residual`` does; one that
+stops paths must index by ``idx``, and none may assume the block is the
+whole ensemble.
+
+Positions are wrapped onto the circle by x - floor(x), which equals x % 1.0
+bit for bit (signed zeros and the 1.0 of x just below 0 included) and costs
+a fraction of it.  ``exit_times`` tabulates the tube's center once per
+ensemble, at the engine's own times.
 """
 
 from __future__ import annotations
@@ -100,12 +112,14 @@ def _bilinear(table: np.ndarray, x, t: float):
     tabulated fields (drift and viscous profile) are 1-periodic in time.
     """
     nx, nt = table.shape
-    pos = (np.asarray(x, dtype=float) % 1.0) * nx
+    x = np.asarray(x, dtype=float)
+    pos = (x - np.floor(x)) * nx    # bit for bit (x % 1.0) * nx, at a fraction of its cost
     cell = np.floor(pos)
     wx = pos - cell
     vx = 1 - wx
-    # x % 1.0 is 1.0 for x just below 0, so cell may be nx: wrap it to 0
-    i0 = cell.astype(int) % nx
+    # x - floor(x) is 1.0 for x just below 0, so cell may be nx: wrap it to 0
+    i0 = cell.astype(int)
+    i0[i0 == nx] = 0
     i1 = i0 + 1
     i1[i1 == nx] = 0
     tpos = (t % 1.0) * nt
@@ -115,6 +129,12 @@ def _bilinear(table: np.ndarray, x, t: float):
     wt = tpos - tcell
     c0, c1 = table[:, j0], table[:, j1]
     return (1 - wt) * (vx * c0[i0] + wx * c0[i1]) + wt * (vx * c1[i0] + wx * c1[i1])
+
+
+def _outside_tube(X, center, delta: float):
+    """Mask of the positions X at circle distance delta or more from ``center``."""
+    d = X - center + 0.5
+    return np.abs(d - np.floor(d) - 0.5) >= delta    # d - floor(d) is bit for bit d % 1.0
 
 
 @dataclass
@@ -219,10 +239,11 @@ def exit_times(model, drift: DriftField, center, epsilon: float, delta: float,
             f"{delta * delta / (8 * epsilon):.3e})", field="stochastic.dt")
     n_steps = int(round(kappa / dt))
     taus = np.full(n_paths, kappa)
+    # the center at the engine's times s = 0 + n dt
+    g_pos = center.position(0.0 + np.arange(n_steps + 1) * dt)
 
     def first_exit(idx, X, u, n, s):
-        g_pos = float(center.position(s))
-        out = np.abs((X - g_pos + 0.5) % 1.0 - 0.5) >= delta
+        out = _outside_tube(X, g_pos[n], delta)
         taus[idx[out]] = n * dt
         return out
 
@@ -367,12 +388,14 @@ def lax_residual(model, sol: ViscousSolution, drift: DriftField, kappa: float,
         acc = np.empty(len(keys))
 
         def running_cost(idx, X, u, n, s):
+            # no probe path stops, so the block's paths are one contiguous run
+            block = slice(idx[0], idx[-1] + 1)
             l_now, _ = model.lagrangian(X, u, s)
             if n:
-                cost[idx] += 0.5 * (l_prev[idx] + l_now) * dt
-            l_prev[idx] = l_now
+                cost[block] += 0.5 * (l_prev[block] + l_now) * dt
+            l_prev[block] = l_now
             if n == n_steps:
-                acc[idx] = _bilinear(sol.phi, X, t0 + horizon) - cost[idx]
+                acc[block] = _bilinear(sol.phi, X, t0 + horizon) - cost[block]
 
         _euler_maruyama(drift, starts, keys, sol.epsilon, dt, n_steps, t0, running_cost)
         ends[group] = acc.reshape(len(group), n_paths)

@@ -326,7 +326,9 @@ def anchored_barrier(kernels: ActionKernelSet, c: float, anchor_x: float,
     period (adding c per period); the barrier is the minimum over the trailing
     ``window`` sweeps, iterated until that window minimum has moved by at
     most ``barrier_tol`` for max(2 window, 6) sweeps in a row, counted from
-    sweep max(2 window + 4, 12) on.
+    sweep max(2 window + 4, 12) on.  A window minimum that never settles
+    raises ``ConvergenceError``: the anchor then need not lie on a hyperbolic
+    rest orbit, which the paper assumes the Aubry set consists of.
     """
     grid = kernels.grid
     nx, nt = grid.nx, grid.nt
@@ -378,7 +380,9 @@ def anchored_barrier(kernels: ActionKernelSet, c: float, anchor_x: float,
     else:
         raise ConvergenceError(
             f"barrier iteration did not settle in {max_sweeps} sweeps "
-            f"(last window oscillation {window_osc:.3e})", trace=osc_trace)
+            f"(last window oscillation {window_osc:.3e}); the anchor x = {anchor_x:.6g} "
+            "may not lie on a hyperbolic rest orbit, as the Aubry set is assumed to "
+            "consist of such orbits", trace=osc_trace)
 
     return BarrierField(anchor_x=anchor_x, grid=grid, h=h_prev, phi_pot=phi,
                         window_osc=window_osc, n_sweeps=n_sweeps,

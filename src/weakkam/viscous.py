@@ -30,10 +30,11 @@ The constants are folded once per march and every operation writes into a
 preallocated buffer, so a step is 16 numpy calls.
 
 The source is tabulated once per row block, at the block's m_sub step times
-s = S + j/nt + m ds.  W(x, -s) = V(x - w s) comes by angle addition: the
-nodes' cos/sin(w_k x) are taken once per march, and each time adds one
-cos/sin pair per term (``PotentialSpec.translates``).  A model with w = 0
-has one row for all times.
+s = S + j/nt + m ds, into a table and a term buffer allocated once per
+march.  W(x, -s) = V(x - w s) comes by angle addition: the nodes'
+cos/sin(w_k x) are taken once per march, and each time adds one cos/sin
+pair per term (``PotentialSpec.translates``).  A model with w = 0 has one
+row for all times.
 
 Two equality contracts hold.  ``step_operator`` runs the same kernel on the
 same tabulation for one time, so a march and its steps taken one by one
@@ -128,14 +129,15 @@ def _stepper(ext: np.ndarray, model, dx: float, ds: float, eps: float, lip_cap: 
     return step
 
 
-def _source_table(model, basis, tau: np.ndarray, ds: float) -> np.ndarray:
+def _source_table(model, basis, tau: np.ndarray, ds: float, out=None, work=None) -> np.ndarray:
     """Rows ds (e0 + W(x, tau)) at the nodes of ``basis``, one per time tau.
 
-    W(x, tau) = V(x + w tau) comes from ``PotentialSpec.translates``; a model
+    W(x, tau) = V(x + w tau) comes from ``PotentialSpec.translates``, written
+    into ``out`` with ``work`` for its terms when they are given; a model
     with w = 0 gives one row, whatever the times.
     """
     u = model.speed * tau if model.speed else np.zeros(1)
-    table = model.potential.translates(basis, u)
+    table = model.potential.translates(basis, u, out, work)
     table += model.energy_offset
     table *= ds
     return table
@@ -155,18 +157,21 @@ def _march_period(model, chi: np.ndarray, S: float, grid: GridSpec, m_sub: int,
     """March chi through the reversed period [S, S + 1] in nt * m_sub steps.
 
     Step m of row block j runs at tau = -s, s = S + j/nt + m ds; the source
-    rows of all m_sub times of a block are tabulated before the block is
-    stepped.  ``snaps[:, j]`` receives chi at s = S + j/nt.
+    rows of all m_sub times of a block are tabulated, into one table buffer
+    per march, before the block is stepped.  ``snaps[:, j]`` receives chi at
+    s = S + j/nt.
     """
     nt, nx = grid.nt, grid.nx
     ext = _ghost_row(chi)
     step = _stepper(ext, model, grid.dx, ds, eps, lip_cap)
     basis = model.potential.node_basis(grid.nodes())
     offsets = np.arange(m_sub) * ds
+    table = np.empty((m_sub if model.speed else 1, nx))
+    work = np.empty_like(table)
     state = ext[1:-1]
     for j in range(nt):
         snaps[:, j] = state
-        table = _source_table(model, basis, -(S + j / nt + offsets), ds)
+        _source_table(model, basis, -(S + j / nt + offsets), ds, table, work)
         for src in np.broadcast_to(table, (m_sub, nx)):
             step(src)
     return state.copy()

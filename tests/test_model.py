@@ -353,6 +353,39 @@ def test_derivative_evaluates_the_half_basis_it_needs(freqs, zeroed, data, xs):
         assert value == _full_basis(terms, xs[0], order), order
 
 
+@st.composite
+def wide_potentials(draw):
+    """A family and a potential it admits with frequencies 0..8 (multiples of k)."""
+    family = draw(st.sampled_from(FAMILIES))
+    wind = draw(st.sampled_from((1, 2, 3))) if family == TRAVELING_WAVE else 1
+    freqs = draw(st.lists(st.sampled_from(range(0, 9, wind)), min_size=1, max_size=5))
+    no_sines = draw(st.booleans())
+    terms = [(k, draw(COEFF), 0.0 if no_sines else draw(COEFF)) for k in freqs]
+    return HamiltonianModel(family=family, potential=PotentialSpec.from_terms(terms),
+                            wind=wind).potential
+
+
+@settings(max_examples=300, deadline=None)
+@given(V=wide_potentials(), ys=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=8))
+def test_clenshaw_value_matches_the_half_basis_sum(V, ys):
+    # value sums the series by Clenshaw's recurrence; derivative(y, 0) is the
+    # reference that takes a cos and a sin per term
+    y = np.array(ys)
+    tol = 1e-12 * (1 + sum(abs(c) + abs(s) for _, c, s in V.terms))
+    assert np.max(np.abs(V.value(y) - V.derivative(y, 0))) <= tol
+    value = V.value(ys[0])
+    assert type(value) is float
+    assert abs(value - V.derivative(ys[0], 0)) <= tol
+    assert V.value(y).shape == y.shape
+
+
+def test_zero_potential_is_exactly_zero():
+    V = PotentialSpec.zero()
+    assert V.value(0.3) == 0.0 and type(V.value(0.3)) is float
+    xs = np.linspace(-50.0, 50.0, 101).reshape(101, 1)
+    assert V.value(xs).shape == xs.shape and np.all(V.value(xs) == 0.0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(model=trig_models(), K=st.floats(0.3, 20.0))
 def test_growth_is_least_at_the_edge_of_the_band(model, K):

@@ -149,6 +149,57 @@ def test_bilinear_matches_reference():
     assert stochastic._bilinear(table, np.array([-1e-20]), -1e-20)[0] == table[0, 0]
 
 
+def _bilinear_by_remainder(table, x, t):
+    """The interpolator as it wrapped by ``%``: x % 1.0, then the cell index % nx."""
+    nx, nt = table.shape
+    pos = (np.asarray(x, dtype=float) % 1.0) * nx
+    cell = np.floor(pos)
+    wx = pos - cell
+    vx = 1 - wx
+    i0 = cell.astype(int) % nx
+    i1 = i0 + 1
+    i1[i1 == nx] = 0
+    tpos = (t % 1.0) * nt
+    tcell = math.floor(tpos)
+    j0 = int(tcell) % nt
+    j1 = (j0 + 1) % nt
+    wt = tpos - tcell
+    c0, c1 = table[:, j0], table[:, j1]
+    return (1 - wt) * (vx * c0[i0] + wx * c0[i1]) + wt * (vx * c1[i0] + wx * c1[i1])
+
+
+def _outside_tube_by_remainder(X, center, delta):
+    return np.abs((X - center + 0.5) % 1.0 - 0.5) >= delta
+
+
+def _wrap_edge_values():
+    """Signed zeros and subnormals, the float below 0 and -1, powers of two, huge values."""
+    powers = 2.0 ** -np.arange(1, 64)
+    edges = np.concatenate([
+        [0.0, 5e-324, 1.0, 0.5, 1e15, 1e15 + 0.5, 123456789.25, np.nextafter(1.0, 0.0)],
+        powers, 1.0 - powers, 1.0 + powers, 37.0 + powers])
+    return np.concatenate([edges, -edges, [np.nextafter(-1.0, 0.0), np.nextafter(0.0, -1.0)]])
+
+
+def test_floor_wrap_matches_the_remainder_wrap():
+    # x - floor(x) is x % 1.0 bit for bit, -0.0 and the 1.0 of x just below 0
+    # included, so the interpolator and the tube test keep every bit
+    rng = np.random.default_rng(11)
+    edges = _wrap_edge_values()
+    assert np.array_equal(np.copysign(1.0, edges - np.floor(edges)), np.copysign(1.0, edges % 1.0))
+    xs = np.concatenate([edges, rng.uniform(-3.0, 4.0, 2000),
+                         rng.uniform(-1.0, 1.0, 500) * 10.0 ** rng.integers(-20, 16, 500)])
+    for nx, nt in ((40, 8), (200, 32), (3, 1)):
+        table = rng.normal(size=(nx, nt))
+        for t in (*rng.uniform(-2.0, 3.0, 20), 0.0, -0.0, -1e-20, 5e-324, 1e15):
+            assert np.array_equal(stochastic._bilinear(table, xs, t),
+                                  _bilinear_by_remainder(table, xs, t)), (nx, t)
+    for center in (*rng.uniform(-5.0, 5.0, 20), 0.0, -0.0, 0.5, -0.5, 1e15):
+        for delta in (0.1, 0.05, 0.4999):
+            assert np.array_equal(stochastic._outside_tube(xs, center, delta),
+                                  _outside_tube_by_remainder(xs, center, delta)), (center, delta)
+
+
 def test_flat_case_exit_oracle():
     # oracle: eps u'' = -1 on (-delta, delta), u(+-delta) = 0 -> E tau = delta^2/(2 eps)
     delta = 0.1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from weakkam.errors import ConfigError, WeakKamError
+from weakkam.errors import ConfigError, ConvergenceError, WeakKamError
 from weakkam.model import (FAMILIES, SHIFTED_KINETIC, TRAVELING_WAVE, HamiltonianModel,
                            PotentialSpec, benchmark_potential)
 from weakkam.variational import (GridSpec, _dense_from_kernel, action_potential_pair,
@@ -138,6 +138,20 @@ def test_constant_added_to_v_shifts_c0_and_keeps_the_barrier(model, a, shape):
     assert np.array_equal(np.isinf(h), np.isinf(h_a))
     finite = np.isfinite(h)
     assert np.max(np.abs(h_a[finite] - h[finite])) <= 1e-10
+
+
+def test_unsettled_barrier_names_the_rest_orbit_hypothesis():
+    # a weak potential under a large shift: the Aubry set rotates instead of
+    # resting at the maximum of V, and the barrier iteration never settles
+    model = HamiltonianModel(family=SHIFTED_KINETIC, momentum_shift=-0.483,
+                             potential=PotentialSpec.from_terms([(2, 0.268, 0.005),
+                                                                 (2, -0.218, 0.058)]))
+    grid = GridSpec(32, 8)
+    kernels = build_kernels(model, grid)
+    nodes = grid.nodes()
+    anchor = float(nodes[np.argmax(model.potential.value(nodes))])
+    with pytest.raises(ConvergenceError, match="hyperbolic rest orbit"):
+        anchored_barrier(kernels, critical_value(kernels).c, anchor, window=model.cells)
 
 
 def test_shifted_kinetic_integer_velocity_grid():
