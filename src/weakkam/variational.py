@@ -29,7 +29,6 @@ import numpy as np
 from .errors import ConfigError, ConvergenceError, NumericalQualityError, WeakKamError
 
 INF = np.inf
-ROW_CHUNK = 16            # rows per block of a dense (min,+) product
 POWER_MAX_ITERS = 4000    # power iterations before the Cesaro fallback
 POWER_MAX_PERIOD = 128    # longest eventual period the power iteration detects
 AGREEMENT_TOL = 1e-6      # largest Karp - power gap critical_value accepts
@@ -169,23 +168,33 @@ def _dense_from_kernel(cost: np.ndarray, offsets: np.ndarray, nx: int) -> np.nda
 
 
 def _minplus_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """(min,+) matrix product with bounded temporaries."""
+    """(min,+) matrix product out[a, b] = min_k A[a, k] + B[k, b].
+
+    One rank-one update per inner index k, out = min(out, A[:, k] + B[k]),
+    in two n x n buffers.
+    """
     n = A.shape[0]
-    out = np.empty((n, n))
-    with np.errstate(invalid="ignore"):
-        for lo in range(0, n, ROW_CHUNK):
-            hi = min(lo + ROW_CHUNK, n)
-            out[lo:hi] = np.min(A[lo:hi, :, None] + B[None, :, :], axis=1)
+    out, cand = np.add(A[:, :1], B[:1]), np.empty((n, n))
+    for k in range(1, n):
+        np.add(A[:, k:k + 1], B[k], out=cand)
+        np.minimum(out, cand, out=out)
     return out
 
 
 def compose_period(kernels: ActionKernelSet) -> np.ndarray:
-    """Dense one-period cost matrix W[a, b] = min path cost a -> b over nt substeps."""
+    """Dense one-period cost matrix W[a, b] = min path cost a -> b over nt substeps.
+
+    A time-independent kernel set is composed by binary exponentiation of its
+    dense one-substep matrix.  Otherwise each substep j maps W to
+    W'[a, b] = min_d W[a, (b - d) mod nx] + K_j[d, (b - d) mod nx], computed
+    on the transpose V = W^T: V is held between dmax wrapped rows on each side
+    (K_j likewise, by columns), so that offset d reads the contiguous row
+    block dmax - d .. dmax - d + nx.  The first offset writes V' and every
+    later one takes the minimum with it, in place.
+    """
     nx, nt = kernels.grid.nx, kernels.grid.nt
     offsets = kernels.offsets
-    cols = np.arange(nx)
     if kernels.time_independent:
-        # all substeps share one kernel: binary exponentiation of the dense matrix
         base = _dense_from_kernel(kernels.costs[0], offsets, nx)
         result = None
         power = base
@@ -199,17 +208,24 @@ def compose_period(kernels: ActionKernelSet) -> np.ndarray:
         return result
     # in place: an nx x nx temporary per offset and substep churns the
     # allocator (a page fault per 4 KB when the heap is trimmed between them)
-    W = _dense_from_kernel(kernels.costs[0], offsets, nx)
-    W_new, cand = np.empty((nx, nx)), np.empty((nx, nx))
-    for j in range(1, nt):
-        cj = kernels.costs[j]
-        W_new.fill(INF)
+    dmax = kernels.dmax
+    V, V_next = np.empty((nx + 2 * dmax, nx)), np.empty((nx + 2 * dmax, nx))
+    V[dmax:dmax + nx] = _dense_from_kernel(kernels.costs[0], offsets, nx).T
+    cand = np.empty((nx, nx))
+    for cj in kernels.costs[1:]:
+        V[:dmax] = V[nx:nx + dmax]
+        V[dmax + nx:] = V[dmax:2 * dmax]
+        cpad = np.concatenate((cj[:, nx - dmax:], cj, cj[:, :dmax]), axis=1)[:, :, None]
+        out = V_next[dmax:dmax + nx]
         for i, d in enumerate(offsets):
-            src = (cols - d) % nx
-            np.add(np.take(W, src, axis=1, out=cand), cj[i, src], out=cand)
-            np.minimum(W_new, cand, out=W_new)
-        W, W_new = W_new, W
-    return W
+            rows = slice(dmax - d, dmax - d + nx)
+            if i == 0:
+                np.add(V[rows], cpad[i, rows], out=out)
+            else:
+                np.add(V[rows], cpad[i, rows], out=cand)
+                np.minimum(out, cand, out=out)
+        V, V_next = V_next, V
+    return np.ascontiguousarray(V[dmax:dmax + nx].T)
 
 
 @dataclass

@@ -1,15 +1,19 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from weakkam.errors import ConfigError, ConvergenceError, WeakKamError
 from weakkam.model import (FAMILIES, SHIFTED_KINETIC, TRAVELING_WAVE, HamiltonianModel,
                            PotentialSpec, benchmark_potential)
-from weakkam.variational import (GridSpec, _dense_from_kernel, action_potential_pair,
-                                 anchored_barrier, aubry_verify, barrier_matrix,
-                                 build_kernels, compose_period, critical_value)
+from weakkam.variational import (AGREEMENT_TOL, GridSpec, _dense_from_kernel,
+                                 _karp_min_mean, _minplus_product, _power_min_mean,
+                                 action_potential_pair, anchored_barrier, aubry_verify,
+                                 barrier_matrix, build_kernels, compose_period,
+                                 critical_value)
 
 RNG = np.random.default_rng(7)
 
@@ -66,6 +70,27 @@ def test_karp_power_agreement(bench_small_setup):
     assert cv.agreement <= 1e-6
 
 
+def _brute_force_min_mean(W):
+    """Least mean weight over every simple cycle of W, self-loops included."""
+    n = W.shape[0]
+    return min(sum(W[c[i], c[(i + 1) % len(c)]] for i in range(len(c))) / len(c)
+               for length in range(1, n + 1)
+               for c in itertools.permutations(range(n), length))
+
+
+@settings(max_examples=150, deadline=None)
+@given(weights=st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.integers(-9, 9), min_size=n * n, max_size=n * n)))
+def test_karp_and_power_iteration_find_the_brute_force_min_mean(weights):
+    n = math.isqrt(len(weights))
+    W = np.array(weights, dtype=float).reshape(n, n)
+    exact = _brute_force_min_mean(W)
+    assert _karp_min_mean(W) == pytest.approx(exact, abs=1e-12)
+    mean, _, exact_regime = _power_min_mean(W)
+    assert exact_regime
+    assert abs(mean - exact) <= AGREEMENT_TOL
+
+
 def test_in_place_composition_matches_the_allocating_loop(tw_model):
     # the time-dependent branch of compose_period against its loop with a
     # fresh temporary per offset: the same sums and minima, bit for bit
@@ -81,6 +106,95 @@ def test_in_place_composition_matches_the_allocating_loop(tw_model):
             np.minimum(W_new, W[:, src] + cj[i, src][None, :], out=W_new)
         W = W_new
     assert np.array_equal(compose_period(kernels), W)
+
+
+def _composition_by_gathers(kernels):
+    """The time-dependent composition with a column gather per offset and substep."""
+    nx = kernels.grid.nx
+    cols = np.arange(nx)
+    W = _dense_from_kernel(kernels.costs[0], kernels.offsets, nx)
+    for cj in kernels.costs[1:]:
+        W_new = np.full((nx, nx), np.inf)
+        for i, d in enumerate(kernels.offsets):
+            src = (cols - d) % nx
+            np.minimum(W_new, W[:, src] + cj[i, src][None, :], out=W_new)
+        W = W_new
+    return W
+
+
+def _blocked_minplus_product(A, B, rows=16):
+    """(min,+) product by blocks of rows, each one (rows, n, n) broadcast minimum."""
+    n = A.shape[0]
+    out = np.empty((n, n))
+    for lo in range(0, n, rows):
+        out[lo:lo + rows] = np.min(A[lo:lo + rows, :, None] + B[None], axis=1)
+    return out
+
+
+def _composition_by_blocked_powers(kernels):
+    """The time-independent composition: binary exponentiation, blocked products."""
+    power = _dense_from_kernel(kernels.costs[0], kernels.offsets, kernels.grid.nx)
+    result, n = None, kernels.grid.nt
+    while n:
+        if n & 1:
+            result = power if result is None else _blocked_minplus_product(result, power)
+        n >>= 1
+        if n:
+            power = _blocked_minplus_product(power, power)
+    return result
+
+
+@st.composite
+def composition_cases(draw):
+    """A traveling-wave trig potential and a grid whose kernels reach dmax offsets.
+
+    The velocity cap puts dmax = floor(vmax nx / nt) anywhere from 2 to two
+    past nx // 2, where ``build_kernels`` caps it.
+    """
+    wind = draw(st.sampled_from((1, 2)))
+    terms = [(k, draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5)))
+             for k in draw(st.lists(st.sampled_from(range(0, 7, wind)), min_size=1,
+                                    max_size=3, unique=True))]
+    nx, nt = draw(st.integers(8, 64)), draw(st.integers(2, 8))
+    return PotentialSpec.from_terms(terms), wind, GridSpec(nx, nt), \
+        draw(st.integers(2, nx // 2 + 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=composition_cases())
+def test_compose_period_matches_the_gather_loop_and_the_blocked_powers(case):
+    potential, wind, grid, dmax = case
+    vmax = (dmax + 0.5) * grid.nt / grid.nx
+    wave = build_kernels(HamiltonianModel(family=TRAVELING_WAVE, potential=potential,
+                                          wind=wind), grid, vmax)
+    assert not wave.time_independent
+    assert wave.dmax == min(dmax, grid.nx // 2)
+    assert np.array_equal(compose_period(wave), _composition_by_gathers(wave))
+    still = build_kernels(HamiltonianModel(family="mechanical", potential=potential),
+                          grid, vmax)
+    assert still.time_independent
+    assert np.array_equal(compose_period(still), _composition_by_blocked_powers(still))
+
+
+@st.composite
+def minplus_operands(draw):
+    """Two square matrices of finite and +inf entries, some rows and columns all inf."""
+    n = draw(st.integers(1, 12))
+    entry = st.one_of(st.floats(-1e3, 1e3), st.just(np.inf))
+    A, B = (draw(hnp.arrays(float, (n, n), elements=entry)) for _ in range(2))
+    index = st.lists(st.integers(0, n - 1), max_size=2)
+    A[draw(index)] = np.inf
+    A[:, draw(index)] = np.inf
+    B[draw(index)] = np.inf
+    B[:, draw(index)] = np.inf
+    return A, B
+
+
+@settings(max_examples=200, deadline=None)
+@given(operands=minplus_operands())
+def test_minplus_product_is_the_broadcast_minimum(operands):
+    A, B = operands
+    assert np.array_equal(_minplus_product(A, B), np.min(A[:, :, None] + B[None], axis=1))
 
 
 def test_constant_shift_property(bench_potential):
