@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 from dataclasses import asdict
 import hashlib
-from itertools import chain
 import json
 import sys
 from pathlib import Path
@@ -180,14 +179,10 @@ def emit_reports(results: dict, command: str, cfg: dict, out_dir: str,
         written.append(str(path))
     if "csv" in formats and csv_tables:
         for name, (header, rows) in csv_tables.items():
-            # on int and float cells repr writes what _csv_cell does, without a
-            # Python call per cell
-            cell = repr if set(map(type, chain.from_iterable(rows))) <= {int, float} \
-                else _csv_cell
             path = out / f"{tag}_{name}.csv"
             with open(path, "w") as fh:
                 fh.write(",".join(header) + "\n")
-                fh.writelines(",".join(map(cell, row)) + "\n" for row in rows)
+                fh.writelines(",".join(map(_csv_cell, row)) + "\n" for row in rows)
             written.append(str(path))
     return written
 

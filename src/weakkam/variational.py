@@ -29,6 +29,7 @@ import numpy as np
 from .errors import ConfigError, ConvergenceError, NumericalQualityError, WeakKamError
 
 INF = np.inf
+ROW_CHUNK = 16            # rows per block of a dense (min,+) product
 POWER_MAX_ITERS = 4000    # power iterations before the Cesaro fallback
 POWER_MAX_PERIOD = 128    # longest eventual period the power iteration detects
 AGREEMENT_TOL = 1e-6      # largest Karp - power gap critical_value accepts
@@ -170,14 +171,15 @@ def _dense_from_kernel(cost: np.ndarray, offsets: np.ndarray, nx: int) -> np.nda
 def _minplus_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """(min,+) matrix product out[a, b] = min_k A[a, k] + B[k, b].
 
-    One rank-one update per inner index k, out = min(out, A[:, k] + B[k]),
-    in two n x n buffers.
+    Blocks of ROW_CHUNK rows, each one (ROW_CHUNK, n, n) broadcast minimum,
+    bound the temporaries.
     """
     n = A.shape[0]
-    out, cand = np.add(A[:, :1], B[:1]), np.empty((n, n))
-    for k in range(1, n):
-        np.add(A[:, k:k + 1], B[k], out=cand)
-        np.minimum(out, cand, out=out)
+    out = np.empty((n, n))
+    with np.errstate(invalid="ignore"):
+        for lo in range(0, n, ROW_CHUNK):
+            hi = min(lo + ROW_CHUNK, n)
+            out[lo:hi] = np.min(A[lo:hi, :, None] + B[None, :, :], axis=1)
     return out
 
 

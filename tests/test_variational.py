@@ -122,25 +122,18 @@ def _composition_by_gathers(kernels):
     return W
 
 
-def _blocked_minplus_product(A, B, rows=16):
-    """(min,+) product by blocks of rows, each one (rows, n, n) broadcast minimum."""
-    n = A.shape[0]
-    out = np.empty((n, n))
-    for lo in range(0, n, rows):
-        out[lo:lo + rows] = np.min(A[lo:lo + rows, :, None] + B[None], axis=1)
-    return out
-
-
-def _composition_by_blocked_powers(kernels):
-    """The time-independent composition: binary exponentiation, blocked products."""
+def _composition_by_powers(kernels):
+    """The time-independent composition: binary exponentiation, each product one
+    broadcast minimum over the whole inner index."""
     power = _dense_from_kernel(kernels.costs[0], kernels.offsets, kernels.grid.nx)
     result, n = None, kernels.grid.nt
     while n:
         if n & 1:
-            result = power if result is None else _blocked_minplus_product(result, power)
+            result = power if result is None else \
+                np.min(result[:, :, None] + power[None], axis=1)
         n >>= 1
         if n:
-            power = _blocked_minplus_product(power, power)
+            power = np.min(power[:, :, None] + power[None], axis=1)
     return result
 
 
@@ -162,7 +155,7 @@ def composition_cases(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(case=composition_cases())
-def test_compose_period_matches_the_gather_loop_and_the_blocked_powers(case):
+def test_compose_period_matches_the_gather_loop_and_the_broadcast_powers(case):
     potential, wind, grid, dmax = case
     vmax = (dmax + 0.5) * grid.nt / grid.nx
     wave = build_kernels(HamiltonianModel(family=TRAVELING_WAVE, potential=potential,
@@ -173,13 +166,16 @@ def test_compose_period_matches_the_gather_loop_and_the_blocked_powers(case):
     still = build_kernels(HamiltonianModel(family="mechanical", potential=potential),
                           grid, vmax)
     assert still.time_independent
-    assert np.array_equal(compose_period(still), _composition_by_blocked_powers(still))
+    assert np.array_equal(compose_period(still), _composition_by_powers(still))
 
 
 @st.composite
 def minplus_operands(draw):
-    """Two square matrices of finite and +inf entries, some rows and columns all inf."""
-    n = draw(st.integers(1, 12))
+    """Two square matrices of finite and +inf entries, some rows and columns all inf.
+
+    Up to 40 rows, so that a product spans more than one block of ROW_CHUNK rows.
+    """
+    n = draw(st.integers(1, 40))
     entry = st.one_of(st.floats(-1e3, 1e3), st.just(np.inf))
     A, B = (draw(hnp.arrays(float, (n, n), elements=entry)) for _ in range(2))
     index = st.lists(st.integers(0, n - 1), max_size=2)
