@@ -116,7 +116,18 @@ def validate_config(cfg: dict) -> dict:
                           least=2 if key == "n_paths" else None)
         if "seed" in stoch:
             _seed(stoch["seed"])
-        _eps_list(stoch.get("eps_list", eps_list), "stochastic.eps_list")
+        stoch_eps = stoch.get("eps_list", eps_list)
+        _eps_list(stoch_eps, "stochastic.eps_list")
+        # exit_times' own preconditions, checked here so that a run fails
+        # before its first stage, not midway through the stochastic one
+        delta = float(stoch["delta"])
+        _require(delta < 0.5, "stochastic.delta, the exit radius, must be below half the circle",
+                 "stochastic.delta")
+        if stoch_eps:
+            dt_max = delta * delta / (8.0 * float(max(stoch_eps)))
+            _require(stoch["dt"] <= dt_max,
+                     f"stochastic.dt={stoch['dt']} too coarse for the exit scale (need <= "
+                     f"delta^2/(8 max eps) = {dt_max:.3e})", "stochastic.dt")
     output = _block(cfg, "output")
     _require(isinstance(output.get("directory", ""), str),
              "output.directory must be a string", "output.directory")

@@ -41,12 +41,25 @@ Positions are wrapped onto the circle by x - floor(x), which equals x % 1.0
 bit for bit (signed zeros and the 1.0 of x just below 0 included) and costs
 a fraction of it.  ``exit_times`` tabulates the tube's center once per
 ensemble, at the engine's own times.
+
+The two verification drivers run their ensembles in worker processes, one
+per CPU the process may run on (``os.sched_getaffinity``, else one), through
+``_fan_out``: ``exit_time_scaling`` runs each of its 2 len(eps) ``exit_times``
+calls as one job, and ``lax_residual`` splits each start-time group's paths
+into one contiguous range per CPU.  Workers are forked, so the jobs, which
+close over the model and the drift, reach them without pickling; their
+results come back by pickle.  With one CPU, or where ``fork`` is not a start
+method, the jobs run in the calling process.  As a path's samples depend on
+its start and key alone, which process runs it, and how many processes
+share the work, cannot change a bit of the output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 import math
+import os
 
 import numpy as np
 
@@ -159,6 +172,49 @@ class SdeEnsemble:
     def tau_ci95(self) -> float:
         n = len(self.tau_samples)
         return 1.96 * float(np.std(self.tau_samples, ddof=1)) / math.sqrt(n)
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on, or 1 where the OS cannot tell
+    (``os.sched_getaffinity`` exists on Linux only)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+_jobs = ()   # in a forked worker, the jobs of the pool that started it
+
+
+def _adopt_jobs(jobs) -> None:
+    global _jobs
+    _jobs = jobs
+
+
+def _run_job(i: int):
+    return _jobs[i]()
+
+
+def _fan_out(jobs: list) -> list:
+    """Results of the zero-argument callables ``jobs``, in order.
+
+    The jobs run in min(len(jobs), CPUs) forked workers; they reach the
+    workers as the pool initializer's arguments, which a forked worker
+    inherits without pickling.  An exception raised by a job is raised here,
+    with its class and message.  With one worker to run, no ``fork`` start
+    method, or inside a daemonic worker, which may not start processes, the
+    jobs run here.  ``multiprocessing`` is imported here, not at module
+    level, so a run that never fans out does not pay for its import.
+    """
+    import multiprocessing
+
+    n_workers = min(len(jobs), _cpus())
+    if (n_workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return [job() for job in jobs]
+    pool = multiprocessing.get_context("fork").Pool(n_workers, _adopt_jobs, (jobs,))
+    try:
+        return pool.map(_run_job, range(len(jobs)), chunksize=1)
+    finally:
+        pool.close()
+        pool.join()
 
 
 def _path_keys(seed: int, n_paths: int) -> np.ndarray:
@@ -303,12 +359,12 @@ def exit_time_scaling(model, center, drift: DriftField, eps_list, delta: float,
     at the largest eps flags kappa as too small.
     """
     eps_arr = [float(e) for e in eps_list]
+    ensembles = _fan_out([partial(exit_times, model, u, center, eps, delta, n_paths, dt,
+                                  seed + i, kappa)
+                          for i, eps in enumerate(eps_arr)
+                          for u in (drift, DriftField.zero())])
     records = []
-    for i, eps in enumerate(eps_arr):
-        ens = exit_times(model, drift, center, eps, delta, n_paths, dt,
-                         seed + i, kappa)
-        free = exit_times(model, DriftField.zero(), center, eps, delta,
-                          n_paths, dt, seed + i, kappa)
+    for eps, ens, free in zip(eps_arr, ensembles[::2], ensembles[1::2]):
         mean = ens.mean_tau
         ci = ens.tau_ci95
         rec = FwRecord(epsilon=eps, mean_tau=mean,
@@ -371,34 +427,27 @@ def lax_residual(model, sol: ViscousSolution, drift: DriftField, kappa: float,
     over the Euler-Maruyama steps.
 
     Probe k draws n_paths paths keyed (seed + 7919 k, i); the probes that
-    share a start time run as one ensemble, and each probe's mean and
-    standard error are taken over its own paths.
+    share a start time run as one ensemble, split into one contiguous range
+    of paths per CPU, and each probe's mean and standard error are taken
+    over its own paths.
     """
     if probes is None:
         probes = [(x, 0.0) for x in (0.1, 0.3, 0.5, 0.7, 0.9)]
     n_steps = int(round(kappa / dt))
     horizon = n_steps * dt
-    ends = np.empty((len(probes), n_paths))   # phi(X_T, t0 + T) - running cost
+    jobs, order = [], []   # order: the probes in the order the jobs run their paths
     for t0 in dict.fromkeys(t for _, t in probes):
         group = [k for k, (_, t) in enumerate(probes) if t == t0]
         starts = np.repeat([probes[k][0] for k in group], n_paths)
         keys = np.concatenate([_path_keys(seed + 7919 * k, n_paths) for k in group])
-        cost = np.zeros(len(keys))
-        l_prev = np.empty(len(keys))
-        acc = np.empty(len(keys))
-
-        def running_cost(idx, X, u, n, s):
-            # no probe path stops, so the block's paths are one contiguous run
-            block = slice(idx[0], idx[-1] + 1)
-            l_now, _ = model.lagrangian(X, u, s)
-            if n:
-                cost[block] += 0.5 * (l_prev[block] + l_now) * dt
-            l_prev[block] = l_now
-            if n == n_steps:
-                acc[block] = _bilinear(sol.phi, X, t0 + horizon) - cost[block]
-
-        _euler_maruyama(drift, starts, keys, sol.epsilon, dt, n_steps, t0, running_cost)
-        ends[group] = acc.reshape(len(group), n_paths)
+        n = min(_cpus(), len(keys))
+        bounds = [len(keys) * w // n for w in range(n + 1)]
+        jobs += [partial(_lax_ends, model, sol, drift, starts[lo:hi], keys[lo:hi],
+                         dt, n_steps, t0)
+                 for lo, hi in zip(bounds, bounds[1:])]
+        order += group
+    ends = np.empty((len(probes), n_paths))   # phi(X_T, t0 + T) - running cost
+    ends[order] = np.concatenate(_fan_out(jobs)).reshape(len(probes), n_paths)
     out = []
     for (x0, t0), end in zip(probes, ends):
         rhs = float(np.mean(end)) - sol.c_eps * horizon
@@ -406,3 +455,25 @@ def lax_residual(model, sol: ViscousSolution, drift: DriftField, kappa: float,
         lhs = float(_bilinear(sol.phi, np.array([x0]), t0)[0])
         out.append(LaxProbe(x=x0, t=t0, lhs=lhs, rhs=rhs, se=se))
     return out
+
+
+def _lax_ends(model, sol: ViscousSolution, drift: DriftField, starts, keys: np.ndarray,
+              dt: float, n_steps: int, t0: float) -> np.ndarray:
+    """phi(X_T, t0 + T) minus the running cost, for the paths of ``starts`` and ``keys``."""
+    horizon = n_steps * dt
+    cost = np.zeros(len(keys))
+    l_prev = np.empty(len(keys))
+    acc = np.empty(len(keys))
+
+    def running_cost(idx, X, u, n, s):
+        # no probe path stops, so the block's paths are one contiguous run
+        block = slice(idx[0], idx[-1] + 1)
+        l_now, _ = model.lagrangian(X, u, s)
+        if n:
+            cost[block] += 0.5 * (l_prev[block] + l_now) * dt
+        l_prev[block] = l_now
+        if n == n_steps:
+            acc[block] = _bilinear(sol.phi, X, t0 + horizon) - cost[block]
+
+    _euler_maruyama(drift, starts, keys, sol.epsilon, dt, n_steps, t0, running_cost)
+    return acc

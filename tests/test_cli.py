@@ -297,6 +297,24 @@ def test_a_run_loads_no_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "0 []"
 
 
+def test_setup_does_not_import_multiprocessing(tmp_path):
+    # the stochastic drivers import multiprocessing when they fan out, so the
+    # set-up every wkam invocation pays (import, load, build the model) skips it
+    path = write_config(tmp_path)
+    code = ("import sys, weakkam.cli\n"
+            "from weakkam.model import model_from_config\n"
+            f"model_from_config(weakkam.cli.load_config({str(path)!r})['model'])\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'multiprocessing' or m.startswith('multiprocessing.')))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 FULL_CONFIG = {
     "model": {**SMALL_MODEL, "momentum_shift": 0.0, "wind": 1},
     "grid": {"nx": 96, "nt": 8},
@@ -369,6 +387,35 @@ def test_one_path_is_a_config_error(tmp_path, capsys):
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
     validate_config({**FULL_CONFIG, "stochastic": {**stochastic, "n_paths": 2}})
+
+
+@pytest.mark.parametrize("over, field", [
+    ({"delta": 0.6}, "stochastic.delta"),
+    ({"delta": 0.5}, "stochastic.delta"),
+    ({"dt": 0.05}, "stochastic.dt"),
+    # no stochastic.eps_list: the stage reads sweep.eps_list, whose largest
+    # eps, 0.05, allows dt up to 0.1^2/(8 * 0.05) = 0.025
+    ({"dt": 0.03, "eps_list": None}, "stochastic.dt"),
+])
+def test_unresolved_exit_scale_is_refused_before_the_first_stage(tmp_path, capsys, over, field):
+    # exit_times refuses these too, but only once the stochastic stage runs,
+    # after the orbits, kernels, c(0) and barriers have been built and written
+    stochastic = {k: v for k, v in {**FULL_CONFIG["stochastic"], **over}.items()
+                  if v is not None}
+    path = write_config(tmp_path, grid={"nx": 64, "nt": 8}, stochastic=stochastic)
+    assert main(["--config", str(path), "--command", "all"]) == 1
+    assert f"config error at '{field}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_exit_scale_bounds_admit_their_limits():
+    # delta^2/(8 max eps) itself is resolved; the largest eps sets the bound
+    stochastic = {**FULL_CONFIG["stochastic"], "delta": 0.2, "eps_list": [0.08, 0.04]}
+    validate_config({**FULL_CONFIG, "stochastic": {**stochastic, "dt": 0.2 * 0.2 / (8.0 * 0.08)}})
+    with pytest.raises(ConfigError) as info:
+        validate_config({**FULL_CONFIG, "stochastic": {**stochastic, "dt": 0.0625 * 1.001}})
+    assert info.value.field == "stochastic.dt"
+    validate_config({**FULL_CONFIG, "stochastic": {**stochastic, "delta": 0.4999, "dt": 1e-4}})
 
 
 def test_numerics_reach_the_pipeline_record_and_leave_the_config_as_written():

@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -105,6 +108,83 @@ def test_lax_probes_batch_like_single_probes(bench_model, monkeypatch):
 
     single = [lax(4 + 7919 * k, [p])[0] for k, p in enumerate(P)]
     assert lax(4, P) == single
+
+
+def _force_cpus(monkeypatch, n):
+    """Make the drivers see n CPUs, whatever the machine has."""
+    monkeypatch.setattr(stochastic.os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+def test_results_do_not_depend_on_the_worker_count(bench_model, monkeypatch):
+    # an odd path count splits unevenly, and the first Lax group's ranges cut
+    # through a probe, so a range that drops, repeats or re-keys a path shows
+    monkeypatch.setattr(stochastic, "BLOCK_PATHS", 64)
+    monkeypatch.setattr(stochastic, "CHUNK_STEPS", 7)
+    sol = solve_cell(bench_model, 0.05, GridSpec(64, 8))
+    opt = DriftField.from_viscous(bench_model, sol)
+
+    def run(n_cpus):
+        _force_cpus(monkeypatch, n_cpus)
+        rep = exit_time_scaling(FREE, StaticCenter(0.5), _linear_drift(-2 * np.pi),
+                                [0.08, 0.04], 0.1, 301, kappa=1.0, dt=1e-3, seed=6)
+        probes = lax_residual(bench_model, sol, opt, kappa=0.05, n_paths=301, dt=1e-3,
+                              seed=6, probes=[(0.25, 0.0), (0.6, 0.3), (0.8, 0.0)])
+        return rep, [(p.lhs, p.rhs, p.se) for p in probes]
+
+    serial = run(1)
+    for n_cpus in (2, 3):
+        assert run(n_cpus) == serial, n_cpus
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn", "forkserver"])
+    for n_cpus in (2, 3):
+        assert run(n_cpus) == serial, ("no fork", n_cpus)
+
+
+class _WorkerOnlyFailure(DriftField):
+    """A linear drift that raises once a worker process steps it past s = 0.01."""
+
+    def __call__(self, x, s):
+        if os.getpid() != self.parent_pid and s >= 0.01:
+            raise FloatingPointError(f"drift failed at s >= 0.01 in {type(self).__name__}")
+        return super().__call__(x, s)
+
+
+def test_workers_end_with_the_drivers_and_pass_errors_back(bench_model, monkeypatch):
+    _force_cpus(monkeypatch, 2)
+    threads = set(threading.enumerate())
+    sol = solve_cell(bench_model, 0.05, GridSpec(64, 8))
+    lin = _linear_drift(-2 * np.pi)
+    exit_time_scaling(FREE, StaticCenter(0.5), lin, [0.08, 0.04], 0.1, 50, kappa=1.0,
+                      dt=1e-3, seed=2)
+    lax_residual(bench_model, sol, DriftField.from_viscous(bench_model, sol), kappa=0.05,
+                 n_paths=50, dt=1e-3, seed=2)
+    assert multiprocessing.active_children() == []
+
+    failing = _WorkerOnlyFailure(kind=lin.kind, grid=lin.grid, values=lin.values)
+    failing.parent_pid = os.getpid()
+    message = "drift failed at s >= 0.01 in _WorkerOnlyFailure"
+    with pytest.raises(FloatingPointError) as info:
+        exit_time_scaling(FREE, StaticCenter(0.5), failing, [0.08, 0.04], 0.1, 50,
+                          kappa=1.0, dt=1e-3, seed=2)
+    assert str(info.value) == message
+    with pytest.raises(FloatingPointError) as info:
+        lax_residual(bench_model, sol, failing, kappa=0.05, n_paths=50, dt=1e-3, seed=2)
+    assert str(info.value) == message
+    assert multiprocessing.active_children() == []
+    assert set(threading.enumerate()) == threads   # the pool's handler threads are gone
+
+
+def test_a_fan_out_inside_a_worker_runs_in_process(monkeypatch):
+    # a daemonic pool worker may not start processes of its own
+    _force_cpus(monkeypatch, 2)
+
+    def inner():
+        return os.getpid(), stochastic._fan_out([os.getpid, os.getpid])
+
+    (worker, pids), _ = stochastic._fan_out([inner, inner])
+    assert worker != os.getpid()
+    assert pids == [worker, worker]
 
 
 def test_lax_horizon_is_the_simulated_time():
