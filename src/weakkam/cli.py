@@ -118,16 +118,17 @@ def validate_config(cfg: dict) -> dict:
             _seed(stoch["seed"])
         stoch_eps = stoch.get("eps_list", eps_list)
         _eps_list(stoch_eps, "stochastic.eps_list")
-        # exit_times' own preconditions, checked here so that a run fails
-        # before its first stage, not midway through the stochastic one
+        # the stochastic stage's and exit_times' own preconditions, checked
+        # here so that a run fails before its first stage, not midway
+        _require(stoch_eps, "stochastic block needs an eps list (stochastic.eps_list "
+                 "or sweep.eps_list)", "stochastic.eps_list")
         delta = float(stoch["delta"])
         _require(delta < 0.5, "stochastic.delta, the exit radius, must be below half the circle",
                  "stochastic.delta")
-        if stoch_eps:
-            dt_max = delta * delta / (8.0 * float(max(stoch_eps)))
-            _require(stoch["dt"] <= dt_max,
-                     f"stochastic.dt={stoch['dt']} too coarse for the exit scale (need <= "
-                     f"delta^2/(8 max eps) = {dt_max:.3e})", "stochastic.dt")
+        dt_max = delta * delta / (8.0 * float(max(stoch_eps)))
+        _require(stoch["dt"] <= dt_max,
+                 f"stochastic.dt={stoch['dt']} too coarse for the exit scale (need <= "
+                 f"delta^2/(8 max eps) = {dt_max:.3e})", "stochastic.dt")
     output = _block(cfg, "output")
     _require(isinstance(output.get("directory", ""), str),
              "output.directory must be a string", "output.directory")
@@ -280,9 +281,7 @@ class _Pipeline(Artifacts):
         return {"solves": records}, tables, ok
 
     def stage_sweep(self):
-        eps_list = self.cfg.get("sweep", {}).get("eps_list", [])
-        _require(len(eps_list) >= 3, "sweep needs >= 3 viscosities",
-                 "sweep.eps_list")
+        eps_list = self.cfg["sweep"]["eps_list"]
         rep = self._timed("sweep", lambda: sweep(self, eps_list))
         verdict = slope_fit(rep, slope_tol=self.numerics.slope_tol)
         trend_ok = all(b <= a * 1.10 for a, b in
@@ -329,8 +328,6 @@ class _Pipeline(Artifacts):
         stoch = self.cfg.get("stochastic")
         _require(stoch, "stochastic stage needs a stochastic block", "stochastic")
         eps_list = stoch.get("eps_list", self.cfg.get("sweep", {}).get("eps_list"))
-        _require(eps_list, "stochastic stage needs an eps list",
-                 "stochastic.eps_list")
         seed = int(stoch.get("seed", 0))
         n_paths = int(stoch["n_paths"])
         dt = float(stoch["dt"])
@@ -393,10 +390,26 @@ def run_config(path: str, command: str, out_dir: str | None = None,
     Artifacts go to ``out_dir`` when given, else to the config's
     ``output.directory``, else to the working directory.
     """
+    if command not in COMMANDS:
+        print(f"unknown command {command!r}; choose from {COMMANDS}",
+              file=sys.stderr)
+        return 1
     try:
         cfg = load_config(path)
         if seed_override is not None:
             _seed(seed_override)
+        names = list(_Pipeline.STAGES) if command == "all" else [command]
+        if command == "all":
+            # the example stage only applies to traveling-wave configs
+            if cfg["model"].get("family") != "traveling_wave":
+                names.remove("example")
+            if not cfg.get("stochastic"):
+                names.remove("stochastic")
+            if not cfg.get("sweep", {}).get("eps_list"):
+                names = [n for n in names if n not in ("viscous", "sweep")]
+        # before the first stage runs; viscous alone runs with one viscosity
+        _require("sweep" not in names or len(cfg.get("sweep", {}).get("eps_list", [])) >= 3,
+                 "sweep needs >= 3 viscosities", "sweep.eps_list")
     except ConfigError as exc:
         print(f"config error at '{exc.field}': {exc}", file=sys.stderr)
         return 1
@@ -405,20 +418,6 @@ def run_config(path: str, command: str, out_dir: str | None = None,
         cfg["stochastic"]["seed"] = int(seed_override)
     if out_dir is None:
         out_dir = cfg.get("output", {}).get("directory") or "."
-
-    if command not in COMMANDS:
-        print(f"unknown command {command!r}; choose from {COMMANDS}",
-              file=sys.stderr)
-        return 1
-    names = list(_Pipeline.STAGES) if command == "all" else [command]
-    if command == "all":
-        # the example stage only applies to traveling-wave configs
-        if cfg["model"].get("family") != "traveling_wave":
-            names.remove("example")
-        if not cfg.get("stochastic"):
-            names.remove("stochastic")
-        if not cfg.get("sweep", {}).get("eps_list"):
-            names = [n for n in names if n not in ("viscous", "sweep")]
 
     pipe = _Pipeline(cfg)
     overall_ok = True

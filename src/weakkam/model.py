@@ -18,15 +18,16 @@ wave coordinate y = x + w t.
 Potentials are finite trigonometric series, so every spatial derivative is
 exact and 1-periodicity holds to rounding error.  The series is held once, as
 the coefficients (A_n, B_n) of V^(n)(x) = sum A_n cos(w x) + B_n sin(w x);
-every derivative is a rotation of (c, s) scaled by w^n.  Arrays are summed
-against these coefficients by numpy (``derivative``), except V itself, which
-H and L read at every path-step and every kernel node: ``value`` sums it by
-Clenshaw's recurrence from one cos (and one sin).  The flow's (V', V'') at one
-scalar y takes the same coefficients through plain float arithmetic with one
-math.cos/math.sin pair per term, which the RK4 flow calls hundreds of
-thousands of times.  The viscous march reads V(x + u) at fixed nodes x for
-many shifts u, by angle addition from the nodes' cos/sin (``node_basis``,
-``translates``).  All other evaluators broadcast over numpy arrays.
+every derivative is a rotation of (c, s) scaled by w^n.  Three evaluators read
+these coefficients, one per access pattern:
+
+* arrays: ``derivative`` sums V and each derivative by Clenshaw's recurrence
+  from one cos (and one sin) per point; ``value``, ``d1`` and ``d2`` are its
+  orders 0, 1 and 2, and H and L read ``value`` at every path-step and node;
+* one scalar: ``jet`` gives the RK4 flow (V', V'') at one y in plain float
+  arithmetic, with one math.cos/math.sin pair per term;
+* fixed nodes under many shifts: ``translates`` gives the viscous march
+  V(x + u) by angle addition from the nodes' cos/sin (``node_basis``).
 """
 
 from __future__ import annotations
@@ -46,6 +47,15 @@ TRAVELING_WAVE = "traveling_wave"
 FAMILIES = (MECHANICAL, SHIFTED_KINETIC, TRAVELING_WAVE)
 
 TWO_PI = 2.0 * math.pi
+
+
+def _rotated(modes, order: int):
+    """(A, B) of the order-th derivative sum A cos(w x) + B sin(w x) of the series
+    ``modes`` = (w, c, s); each order maps (A, B) to w (B, -A)."""
+    w, c, s = modes
+    a, b = ((c, s), (s, -c), (-c, -s), (-s, c))[order % 4]
+    wn = w ** order
+    return a * wn, b * wn
 
 
 @dataclass(frozen=True)
@@ -80,43 +90,11 @@ class PotentialSpec:
         k, c, s = (np.array(col, dtype=float) for col in zip(*self.terms))
         return TWO_PI * k, c, s
 
-    def _coefficients(self, order: int = 0):
-        """(A, B) with V^(order)(x) = sum A cos(w x) + B sin(w x).
-
-        Differentiation maps (A, B) to w (B, -A), so the pair cycles through
-        (c, s), (s, -c), (-c, -s), (-s, c), scaled by w^order.
-        """
-        w, c, s = self._modes
-        a, b = ((c, s), (s, -c), (-c, -s), (-s, c))[order % 4]
-        wn = w ** order
-        return a * wn, b * wn
-
     @cached_property
     def _scalar_rows(self):
         """Per term: w and the (A, B) pairs of V', V'' as Python floats."""
-        cols = [self._modes[0]] + [v for n in (1, 2) for v in self._coefficients(n)]
+        cols = [self._modes[0]] + [v for n in (1, 2) for v in _rotated(self._modes, n)]
         return tuple(zip(*(col.tolist() for col in cols)))
-
-    def _angles(self, x):
-        return np.multiply.outer(np.asarray(x, dtype=float), self._modes[0])
-
-    def derivative(self, x, order: int = 0):
-        """Exact order-th derivative of V at x (broadcasts over arrays).
-
-        The sum is cos(w x) @ A + sin(w x) @ B, with (A, B) the coefficients
-        of the order.  When all of B are zero only cos(w x) @ A is evaluated,
-        and when all of A are zero only sin(w x) @ B: the value differs from
-        the full sum at most in the sign of an exact zero.
-        """
-        a, b = self._coefficients(order)
-        ang = self._angles(x)
-        if not b.any():
-            val = np.cos(ang) @ a
-        elif not a.any():
-            val = np.sin(ang) @ b
-        else:
-            val = np.cos(ang) @ a + np.sin(ang) @ b
-        return val if val.shape else float(val)
 
     def jet(self, y: float):
         """(V', V'') at the scalar y as floats, from one cos/sin pair per term."""
@@ -159,47 +137,59 @@ class PotentialSpec:
         return out
 
     @cached_property
-    def _series(self):
-        """Coefficients C_j, S_j of cos(2 pi j x), sin(2 pi j x) for j = 0..K, as floats."""
+    def _merged_modes(self):
+        """``_modes`` with the terms merged by frequency: w_j = 2 pi j for j = 0..K."""
         top = max((k for k, _, _ in self.terms), default=0)
-        c, s = [0.0] * (top + 1), [0.0] * (top + 1)
+        c, s = np.zeros(top + 1), np.zeros(top + 1)
         for k, ck, sk in self.terms:
             c[k] += ck
             s[k] += sk
-        return c, s
+        return TWO_PI * np.arange(top + 1), c, s
 
-    def value(self, x):
-        """V at x (broadcasts over arrays) by Clenshaw's recurrence in y = cos(2 pi x).
+    @cached_property
+    def _series(self) -> dict:
+        """Per order n, the lists (A_j, B_j) of floats, j = 0..K, of V^(n), filled on use."""
+        return {}
 
-        cos(j t) = T_j(y) and sin(j t) = sin(t) U_(j-1)(y) with t = 2 pi x, and
-        both Chebyshev families obey P_(j+1) = 2y P_j - P_(j-1).  So with
-        b_(K+1) = b_(K+2) = 0 and b_j = C_j + 2y b_(j+1) - b_(j+2) for
-        j = K..1, the cosine half is C_0 + y b_1 - b_2; the same recurrence
-        run on S_j gives beta_1, and the sine half is sin(t) beta_1.  One cos
-        is taken, and one sin when some S_j is nonzero, where ``derivative``
-        takes a cos and a sin per term.  The angle is t = 2 pi (x - rint(x)):
-        the reduction is exact and puts t in [-pi, pi], where cos and sin are
-        cheaper, so the value agrees with ``derivative(x, 0)`` to rounding and
-        does not lose the digits that 2 pi k x loses at large |x|.
+    def derivative(self, x, order: int = 0):
+        """Exact order-th derivative of V at x (broadcasts over arrays).
+
+        V^(order) = sum_j A_j cos(j t) + B_j sin(j t), t = 2 pi x, with (A_j, B_j)
+        the merged (c_j, s_j) rotated and scaled as in ``_rotated``, built once
+        per order.  Clenshaw's recurrence sums it from y = cos(t): with
+        b_(K+1) = b_(K+2) = 0 and b_j = A_j + 2y b_(j+1) - b_(j+2), the cosine
+        half is A_0 + y b_1 - b_2, as cos(j t) = T_j(y); the same run on B_j gives
+        beta_1, and the sine half is sin(t) beta_1, as sin(j t) = sin(t) U_(j-1)(y).
+        One cos is taken per point, and one sin when some B_j is nonzero.  The
+        angle t = 2 pi (x - rint(x)) is reduced exactly into [-pi, pi], where cos
+        and sin are cheaper, and keeps the digits 2 pi j x loses at large |x|.
         """
+        series = self._series.get(order)
+        if series is None:
+            series = self._series[order] = tuple(
+                v.tolist() for v in _rotated(self._merged_modes, order))
+        a, b = series
         x = np.asarray(x, dtype=float)
-        c, s = self._series
-        if len(c) == 1:
-            val = np.full(x.shape, c[0])
+        if len(a) == 1:
+            val = np.full(x.shape, a[0])
         else:
             t = TWO_PI * (x - np.rint(x))
             y = np.cos(t)
             two_y = y + y
-            b1, b2 = c[-1], 0.0
-            for cj in c[-2:0:-1]:
-                b1, b2 = cj + two_y * b1 - b2, b1
-            val = c[0] + y * b1 - b2
-            if any(s[1:]):
-                b1, b2 = s[-1], 0.0
-                for sj in s[-2:0:-1]:
-                    b1, b2 = sj + two_y * b1 - b2, b1
+            b1, b2 = a[-1], 0.0
+            for aj in a[-2:0:-1]:
+                b1, b2 = aj + two_y * b1 - b2, b1
+            val = a[0] + y * b1 - b2
+            if any(b[1:]):
+                b1, b2 = b[-1], 0.0
+                for bj in b[-2:0:-1]:
+                    b1, b2 = bj + two_y * b1 - b2, b1
                 val = val + np.sin(t) * b1
         return val if val.shape else float(val)
+
+    def value(self, x):
+        """V at x (broadcasts over arrays): ``derivative`` of order 0."""
+        return self.derivative(x)
 
     def d1(self, x):
         return self.derivative(x, 1)

@@ -64,7 +64,7 @@ import os
 import numpy as np
 
 from .errors import ConfigError
-from .variational import BarrierField, GridSpec
+from .variational import BarrierField, GridSpec, periodic_cell
 from .viscous import ViscousSolution, centered_gradient
 
 BLOCK_PATHS = 8192
@@ -125,16 +125,8 @@ def _bilinear(table: np.ndarray, x, t: float):
     tabulated fields (drift and viscous profile) are 1-periodic in time.
     """
     nx, nt = table.shape
-    x = np.asarray(x, dtype=float)
-    pos = (x - np.floor(x)) * nx    # bit for bit (x % 1.0) * nx, at a fraction of its cost
-    cell = np.floor(pos)
-    wx = pos - cell
+    i0, i1, wx = periodic_cell(x, nx)
     vx = 1 - wx
-    # x - floor(x) is 1.0 for x just below 0, so cell may be nx: wrap it to 0
-    i0 = cell.astype(int)
-    i0[i0 == nx] = 0
-    i1 = i0 + 1
-    i1[i1 == nx] = 0
     tpos = (t % 1.0) * nt
     tcell = math.floor(tpos)
     j0 = int(tcell) % nt

@@ -328,11 +328,25 @@ class BarrierField:
 
     def value_at(self, x, j):
         """Linear interpolation of the barrier h along x at substep column(s) j."""
-        nx = self.grid.nx
-        pos = (np.asarray(x, dtype=float) % 1.0) * nx
-        i0 = np.floor(pos).astype(int) % nx
-        w = pos - np.floor(pos)
-        return (1.0 - w) * self.h[i0, j] + w * self.h[(i0 + 1) % nx, j]
+        i0, i1, w = periodic_cell(x, self.grid.nx)
+        return (1.0 - w) * self.h[i0, j] + w * self.h[i1, j]
+
+
+def periodic_cell(x, nx: int):
+    """Nodes i0 and i1 = i0 + 1 (mod nx) around x on nx periodic nodes, and the
+    weight w of i1 in the linear interpolant at x (broadcasts over arrays).
+
+    x - floor(x) is bit for bit x % 1.0, at a fraction of its cost; it is 1.0
+    for x just below 0, so the cell may be nx, which wraps to 0.
+    """
+    x = np.asarray(x, dtype=float)
+    pos = (x - np.floor(x)) * nx
+    cell = np.floor(pos)
+    i0 = np.asarray(cell).astype(int)    # asarray: a 0-d x gives a scalar cell
+    i0[i0 == nx] = 0
+    i1 = np.asarray(i0 + 1)
+    i1[i1 == nx] = 0
+    return i0, i1, pos - cell
 
 
 def anchored_barrier(kernels: ActionKernelSet, c: float, anchor_x: float,

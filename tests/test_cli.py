@@ -408,6 +408,33 @@ def test_unresolved_exit_scale_is_refused_before_the_first_stage(tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("sweep, stoch_eps", [({}, None), (FULL_CONFIG["sweep"], [])])
+def test_stochastic_block_without_viscosities_is_refused_before_the_first_stage(
+        tmp_path, capsys, sweep, stoch_eps):
+    # neither list set, or an empty one: all once ran orbits, critical,
+    # barrier and rescale and wrote their artifacts before the stochastic stage
+    stochastic = {k: v for k, v in {**FULL_CONFIG["stochastic"], "eps_list": stoch_eps}.items()
+                  if v is not None}
+    path = write_config(tmp_path, grid={"nx": 64, "nt": 8}, sweep=sweep, stochastic=stochastic)
+    assert main(["--config", str(path), "--command", "all"]) == 1
+    assert "config error at 'stochastic.eps_list'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["all", "sweep"])
+def test_short_sweep_is_refused_before_the_first_stage(tmp_path, capsys, command):
+    path = write_config(tmp_path, grid={"nx": 64, "nt": 8}, sweep={"eps_list": [0.05, 0.03]})
+    assert main(["--config", str(path), "--command", command]) == 1
+    assert "config error at 'sweep.eps_list'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_viscous_runs_on_one_viscosity(tmp_path):
+    path = write_config(tmp_path, grid={"nx": 64, "nt": 8}, sweep={"eps_list": [0.05]})
+    assert main(["--config", str(path), "--command", "viscous"]) == 0
+    assert len(list((tmp_path / "out").glob("viscous_*.json"))) == 1
+
+
 def test_exit_scale_bounds_admit_their_limits():
     # delta^2/(8 max eps) itself is resolved; the largest eps sets the bound
     stochastic = {**FULL_CONFIG["stochastic"], "delta": 0.2, "eps_list": [0.08, 0.04]}

@@ -335,24 +335,6 @@ def _full_basis(terms, x, order):
     return np.cos(ang) @ (a * w ** order) + np.sin(ang) @ (b * w ** order)
 
 
-@settings(max_examples=200, deadline=None)
-@given(freqs=st.lists(st.integers(0, 6), min_size=1, max_size=4),
-       zeroed=st.sampled_from(("cos", "sin", None)), data=st.data(),
-       xs=st.lists(st.floats(-1.0, 2.0), min_size=1, max_size=8))
-def test_derivative_evaluates_the_half_basis_it_needs(freqs, zeroed, data, xs):
-    # a potential with no sine (or no cosine) coefficients evaluates one half
-    # of the basis; the value equals the full sum up to the sign of a zero
-    terms = [(k, 0.0 if zeroed == "cos" else data.draw(COEFF),
-              0.0 if zeroed == "sin" else data.draw(COEFF)) for k in freqs]
-    V = PotentialSpec.from_terms(terms)
-    x = np.array(xs)
-    for order in range(4):
-        assert np.all(V.derivative(x, order) == _full_basis(terms, x, order)), order
-        value = V.derivative(xs[0], order)
-        assert type(value) is float
-        assert value == _full_basis(terms, xs[0], order), order
-
-
 @st.composite
 def wide_potentials(draw):
     """A family and a potential it admits with frequencies 0..8 (multiples of k)."""
@@ -366,17 +348,21 @@ def wide_potentials(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(V=wide_potentials(), ys=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=8))
-def test_clenshaw_value_matches_the_half_basis_sum(V, ys):
-    # value sums the series by Clenshaw's recurrence; derivative(y, 0) is the
-    # reference that takes a cos and a sin per term
+@given(V=wide_potentials(), ys=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=8),
+       order=st.integers(0, 3))
+def test_clenshaw_value_matches_the_half_basis_sum(V, ys, order):
+    # derivative sums the series by Clenshaw's recurrence; _full_basis is the
+    # reference that takes a cos and a sin per term; value is derivative(x, 0)
     y = np.array(ys)
-    tol = 1e-12 * (1 + sum(abs(c) + abs(s) for _, c, s in V.terms))
-    assert np.max(np.abs(V.value(y) - V.derivative(y, 0))) <= tol
-    value = V.value(ys[0])
+    tol = 1e-12 * (1 + sum((2 * math.pi * k) ** order * (abs(c) + abs(s))
+                           for k, c, s in V.terms))
+    assert np.max(np.abs(V.derivative(y, order) - _full_basis(V.terms, y, order))) <= tol
+    value = V.derivative(ys[0], order)
     assert type(value) is float
-    assert abs(value - V.derivative(ys[0], 0)) <= tol
-    assert V.value(y).shape == y.shape
+    assert abs(value - _full_basis(V.terms, ys[0], order)) <= tol
+    assert V.derivative(y, order).shape == y.shape
+    assert np.array_equal(V.value(y), V.derivative(y))
+    assert type(V.value(ys[0])) is float and V.value(ys[0]) == V.derivative(ys[0])
 
 
 def test_zero_potential_is_exactly_zero():
