@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 from dataclasses import asdict
+from functools import lru_cache
 import hashlib
 import json
 import sys
@@ -199,11 +200,20 @@ def emit_reports(results: dict, command: str, cfg: dict, out_dir: str,
     return written
 
 
-def _grid_table(grid: GridSpec, **fields):
-    """CSV table with one row (x_index, t_index, x, t, *fields) per (node, substep)."""
+@lru_cache(maxsize=1)   # a run writes all its grid tables on one grid
+def _grid_index_cells(grid: GridSpec) -> tuple[str, ...]:
+    """The cells x_index,t_index,x,t of each (node, substep) row, joined as
+    ``emit_reports`` joins a row's cells."""
     a, j = np.divmod(np.arange(grid.nx * grid.nt), grid.nt)
-    columns = [a, j, a / grid.nx, j / grid.nt] + [np.ravel(f) for f in fields.values()]
-    return ("x_index", "t_index", "x", "t", *fields), list(zip(*(c.tolist() for c in columns)))
+    columns = (a.tolist(), j.tolist(), (a / grid.nx).tolist(), (j / grid.nt).tolist())
+    return tuple(",".join(map(_csv_cell, row)) for row in zip(*columns))
+
+
+def _grid_table(grid: GridSpec, **fields):
+    """CSV table with one row (x_index, t_index, x, t, *fields) per (node, substep);
+    a row's first cell carries its four index cells, already joined."""
+    columns = [np.ravel(f).tolist() for f in fields.values()]
+    return ("x_index", "t_index", "x", "t", *fields), list(zip(_grid_index_cells(grid), *columns))
 
 
 class _Pipeline(Artifacts):
@@ -261,8 +271,21 @@ class _Pipeline(Artifacts):
         ok = all(r.ok for r in residuals)
         return results, tables, ok
 
+    def viscosities(self, stage: str) -> list:
+        """The eps whose viscous solutions ``stage`` reads, in the order it
+        reads them: ``sweep.eps_list`` for viscous and sweep, and the least of
+        ``stochastic.eps_list`` (else of the sweep's) for stochastic.  A list
+        the config lacks is empty; the stage that needs it says so."""
+        sweep_list = self.cfg.get("sweep", {}).get("eps_list", [])
+        if stage in ("viscous", "sweep"):
+            return sweep_list
+        stoch = self.cfg.get("stochastic")
+        if stage == "stochastic" and stoch:
+            return [min(stoch.get("eps_list", sweep_list))]
+        return []
+
     def stage_viscous(self):
-        eps_list = self.cfg.get("sweep", {}).get("eps_list", [])
+        eps_list = self.viscosities("viscous")
         _require(eps_list, "viscous stage needs sweep.eps_list", "sweep.eps_list")
         tables = {}
         records = []
@@ -281,8 +304,7 @@ class _Pipeline(Artifacts):
         return {"solves": records}, tables, ok
 
     def stage_sweep(self):
-        eps_list = self.cfg["sweep"]["eps_list"]
-        rep = self._timed("sweep", lambda: sweep(self, eps_list))
+        rep = self._timed("sweep", lambda: sweep(self, self.viscosities("sweep")))
         verdict = slope_fit(rep, slope_tol=self.numerics.slope_tol)
         trend_ok = all(b <= a * 1.10 for a, b in
                        zip(rep.limit_errors, rep.limit_errors[1:]))
@@ -327,7 +349,7 @@ class _Pipeline(Artifacts):
     def stage_stochastic(self):
         stoch = self.cfg.get("stochastic")
         _require(stoch, "stochastic stage needs a stochastic block", "stochastic")
-        eps_list = stoch.get("eps_list", self.cfg.get("sweep", {}).get("eps_list"))
+        eps_list = stoch.get("eps_list", self.viscosities("sweep"))
         seed = int(stoch.get("seed", 0))
         n_paths = int(stoch["n_paths"])
         dt = float(stoch["dt"])
@@ -341,7 +363,7 @@ class _Pipeline(Artifacts):
         fw = self._timed("exit_scaling", lambda: exit_time_scaling(
             self.model, sel, drift, eps_list, delta, n_paths, kappa, dt, seed))
 
-        sol = self.solution(min(eps_list))
+        sol = self.solution(*self.viscosities("stochastic"))
         opt = DriftField.from_viscous(self.model, sol)
         probes = self._timed("lax_probes", lambda: lax_residual(
             self.model, sol, opt, kappa=min(kappa, 2.0), n_paths=n_paths,
@@ -398,6 +420,7 @@ def run_config(path: str, command: str, out_dir: str | None = None,
         cfg = load_config(path)
         if seed_override is not None:
             _seed(seed_override)
+        pipe = _Pipeline(cfg)
         names = list(_Pipeline.STAGES) if command == "all" else [command]
         if command == "all":
             # the example stage only applies to traveling-wave configs
@@ -405,10 +428,10 @@ def run_config(path: str, command: str, out_dir: str | None = None,
                 names.remove("example")
             if not cfg.get("stochastic"):
                 names.remove("stochastic")
-            if not cfg.get("sweep", {}).get("eps_list"):
+            if not pipe.viscosities("sweep"):
                 names = [n for n in names if n not in ("viscous", "sweep")]
         # before the first stage runs; viscous alone runs with one viscosity
-        _require("sweep" not in names or len(cfg.get("sweep", {}).get("eps_list", [])) >= 3,
+        _require("sweep" not in names or len(pipe.viscosities("sweep")) >= 3,
                  "sweep needs >= 3 viscosities", "sweep.eps_list")
     except ConfigError as exc:
         print(f"config error at '{exc.field}': {exc}", file=sys.stderr)
@@ -419,21 +442,25 @@ def run_config(path: str, command: str, out_dir: str | None = None,
     if out_dir is None:
         out_dir = cfg.get("output", {}).get("directory") or "."
 
-    pipe = _Pipeline(cfg)
     overall_ok = True
-    for name in names:
-        try:
-            results, tables, ok = pipe.STAGES[name](pipe)
-        except ConfigError as exc:
-            print(f"config error at '{exc.field}': {exc}", file=sys.stderr)
-            return 1
-        except WeakKamError as exc:
-            print(f"{name} failed: {exc}", file=sys.stderr)
-            return 1
-        results["pass"] = bool(ok)
-        files = emit_reports(results, name, cfg, out_dir, pipe.wall, tables)
-        overall_ok = overall_ok and ok
-        print(f"[{name}] {'PASS' if ok else 'FAIL'} -> {', '.join(files) or '(no files)'}")
+    try:
+        # the solves overlap the stages before the first that reads one
+        pipe.prefetch([eps for name in names for eps in pipe.viscosities(name)])
+        for name in names:
+            try:
+                results, tables, ok = pipe.STAGES[name](pipe)
+            except ConfigError as exc:
+                print(f"config error at '{exc.field}': {exc}", file=sys.stderr)
+                return 1
+            except WeakKamError as exc:
+                print(f"{name} failed: {exc}", file=sys.stderr)
+                return 1
+            results["pass"] = bool(ok)
+            files = emit_reports(results, name, cfg, out_dir, pipe.wall, tables)
+            overall_ok = overall_ok and ok
+            print(f"[{name}] {'PASS' if ok else 'FAIL'} -> {', '.join(files) or '(no files)'}")
+    finally:
+        pipe.close()
     return 0 if overall_ok else 2
 
 

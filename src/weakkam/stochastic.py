@@ -43,15 +43,13 @@ a fraction of it.  ``exit_times`` tabulates the tube's center once per
 ensemble, at the engine's own times.
 
 The two verification drivers run their ensembles in worker processes, one
-per CPU the process may run on (``os.sched_getaffinity``, else one), through
-``_fan_out``: ``exit_time_scaling`` runs each of its 2 len(eps) ``exit_times``
+per CPU the process may run on, through ``workers._fan_out`` (imported here
+with ``workers._cpus``; that module says when the jobs stay in the calling
+process): ``exit_time_scaling`` runs each of its 2 len(eps) ``exit_times``
 calls as one job, and ``lax_residual`` splits each start-time group's paths
-into one contiguous range per CPU.  Workers are forked, so the jobs, which
-close over the model and the drift, reach them without pickling; their
-results come back by pickle.  With one CPU, or where ``fork`` is not a start
-method, the jobs run in the calling process.  As a path's samples depend on
-its start and key alone, which process runs it, and how many processes
-share the work, cannot change a bit of the output.
+into one contiguous range per CPU.  As a path's samples depend on its start
+and key alone, which process runs it, and how many processes share the
+work, cannot change a bit of the output.
 """
 
 from __future__ import annotations
@@ -59,11 +57,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 import math
-import os
+import os  # noqa: F401  (the module ``_cpus`` reads; ``stochastic.os`` stays patchable)
 
 import numpy as np
 
 from .errors import ConfigError
+from .workers import _cpus, _fan_out
 from .variational import BarrierField, GridSpec, periodic_cell
 from .viscous import ViscousSolution, centered_gradient
 
@@ -164,49 +163,6 @@ class SdeEnsemble:
     def tau_ci95(self) -> float:
         n = len(self.tau_samples)
         return 1.96 * float(np.std(self.tau_samples, ddof=1)) / math.sqrt(n)
-
-
-def _cpus() -> int:
-    """The number of CPUs this process may run on, or 1 where the OS cannot tell
-    (``os.sched_getaffinity`` exists on Linux only)."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
-_jobs = ()   # in a forked worker, the jobs of the pool that started it
-
-
-def _adopt_jobs(jobs) -> None:
-    global _jobs
-    _jobs = jobs
-
-
-def _run_job(i: int):
-    return _jobs[i]()
-
-
-def _fan_out(jobs: list) -> list:
-    """Results of the zero-argument callables ``jobs``, in order.
-
-    The jobs run in min(len(jobs), CPUs) forked workers; they reach the
-    workers as the pool initializer's arguments, which a forked worker
-    inherits without pickling.  An exception raised by a job is raised here,
-    with its class and message.  With one worker to run, no ``fork`` start
-    method, or inside a daemonic worker, which may not start processes, the
-    jobs run here.  ``multiprocessing`` is imported here, not at module
-    level, so a run that never fans out does not pay for its import.
-    """
-    import multiprocessing
-
-    n_workers = min(len(jobs), _cpus())
-    if (n_workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon):
-        return [job() for job in jobs]
-    pool = multiprocessing.get_context("fork").Pool(n_workers, _adopt_jobs, (jobs,))
-    try:
-        return pool.map(_run_job, range(len(jobs)), chunksize=1)
-    finally:
-        pool.close()
-        pool.join()
 
 
 def _path_keys(seed: int, n_paths: int) -> np.ndarray:

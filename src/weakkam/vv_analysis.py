@@ -14,12 +14,18 @@ model, the grid and the ``Numerics`` record they are built with.  ``sweep``,
 ``rescale_check`` and ``example_verify`` each take one and read what they
 need from it, tolerances included; the CLI pipeline is one.  Their companion
 builds (the rescaled and the autonomous model) take the same record.
+
+The viscous solves read nothing else ``Artifacts`` builds, so they may run
+beside the rest: the CLI calls ``Artifacts.prefetch`` once, before its first
+stage, with every eps its stages will read, and the solves run in forked
+workers while it builds the orbits, kernels, c(0) and barriers.  Which
+process solves an eps cannot change a bit of the output (see ``Artifacts``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 import math
 import time
 
@@ -35,8 +41,14 @@ from .variational import (BarrierField, CriticalValueResult, GridSpec, Numerics,
                           anchored_barrier, aubry_verify, barrier_matrix, build_kernels,
                           critical_value)
 from .viscous import ViscousSolution, centered_gradient, solve_cell
+from .workers import Worker, _cpus, fork_context
 
 CONFIRM_TOL = 0.05   # largest barrier diagonal along a candidate's own trace
+
+# the code of ``solve_cell`` as imported here.  Where the name is rebound
+# later, to a tracer's or a test recorder's wrapper, ``Artifacts.prefetch``
+# starts nothing, so every call the wrapper records is made in its process.
+_SOLVE_CELL_CODE = solve_cell.__code__
 
 
 class Artifacts:
@@ -48,6 +60,19 @@ class Artifacts:
     their trace (to ``CONFIRM_TOL``), and ``fields`` are those barriers, over
     the window of the candidates' periods; ``solution(eps)`` is the viscous
     solution normalized at node 0.  ``wall`` holds the seconds each build took.
+
+    ``prefetch(eps_list)`` starts the solves ``solution`` would make in
+    min(distinct eps, CPUs) forked workers (``workers.Worker``), worker w
+    solving eps[w::n] in the list's order; ``close()`` terminates and reaps
+    them.  ``solution(eps)`` collects a prefetched solve where it would
+    otherwise make it, and raises a failed solve's exception there, with its
+    class, message and fields; its wall time is the worker's own, not the
+    wait for it.  A worker makes the very call ``solution`` makes in process
+    (``_solve``), and a solve depends on the model, grid, eps and numerics
+    alone, so where it ran cannot change a bit of the output.  The prefetch
+    starts nothing with one CPU, without a ``fork`` start method, inside a
+    daemonic process, or where ``solve_cell`` has been wrapped (a tracer
+    counting its calls), whose records would stay in the worker.
     """
 
     def __init__(self, model: HamiltonianModel, grid: GridSpec,
@@ -55,6 +80,8 @@ class Artifacts:
         self.model, self.grid, self.numerics = model, grid, numerics
         self.wall: dict[str, float] = {}
         self._solutions: dict[float, ViscousSolution] = {}
+        self._workers: list[Worker] = []
+        self._pending: dict[float, Worker] = {}   # eps -> the worker solving it
 
     def _timed(self, key, build):
         t0 = time.perf_counter()
@@ -101,14 +128,51 @@ class Artifacts:
     def curves(self) -> list[HessianCurve]:
         return [unstable_hessian_curve(self.model, o) for o in self.orbits]
 
+    def _solve(self, eps: float) -> ViscousSolution:
+        n = self.numerics
+        return solve_cell(self.model, eps, self.grid, cell_tol=n.cell_tol,
+                          max_periods=n.max_periods, lip_cap=n.lip_cap)
+
+    def prefetch(self, eps_list) -> None:
+        """Start the solves of the distinct eps in ``eps_list`` not yet solved or
+        started, in forked workers, in the list's order; nothing where
+        ``workers.fork_context`` refuses, or where ``solve_cell`` is wrapped."""
+        todo = [e for e in dict.fromkeys(map(float, eps_list))
+                if e not in self._solutions and e not in self._pending]
+        unwrapped = getattr(solve_cell, "__code__", None) is _SOLVE_CELL_CODE
+        ctx = fork_context() if todo and unwrapped else None
+        if ctx is None:
+            return
+        n = min(len(todo), _cpus())
+        for w in range(n):
+            mine = todo[w::n]
+            try:
+                worker = Worker(ctx, [(e, partial(self._solve, e)) for e in mine])
+            except OSError:   # no process to be had: the rest solve in process
+                return
+            self._workers.append(worker)
+            self._pending.update(dict.fromkeys(mine, worker))
+
     def solution(self, eps: float) -> ViscousSolution:
         eps = float(eps)
         if eps not in self._solutions:
-            n = self.numerics
-            self._solutions[eps] = self._timed(f"viscous_{eps}", lambda: solve_cell(
-                self.model, eps, self.grid, cell_tol=n.cell_tol,
-                max_periods=n.max_periods, lip_cap=n.lip_cap))
+            worker = self._pending.pop(eps, None)
+            got = worker.result(eps) if worker else None
+            if got is None:   # not prefetched, or its worker ended before it
+                self._solutions[eps] = self._timed(f"viscous_{eps}",
+                                                   lambda: self._solve(eps))
+            else:
+                self._solutions[eps], seconds = got
+                self.wall[f"viscous_{eps}"] = round(seconds, 3)
         return self._solutions[eps]
+
+    def close(self) -> None:
+        """Terminate and reap every prefetch worker: one whose results were
+        never read may still be solving."""
+        for worker in self._workers:
+            worker.close()
+        self._workers.clear()
+        self._pending.clear()
 
 
 def predicted_limit(anchor_values, fields: list[BarrierField], argmin: list[int],

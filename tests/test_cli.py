@@ -4,17 +4,20 @@ import importlib
 import inspect
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from weakkam.cli import (_Pipeline, config_hash, load_config, main, run_config,
-                         validate_config)
+from weakkam import vv_analysis
+from weakkam.cli import (_Pipeline, _grid_table, config_hash, emit_reports, load_config,
+                         main, run_config, validate_config)
 from weakkam.errors import ConfigError
 from weakkam.variational import GridSpec, Numerics
 
@@ -532,3 +535,154 @@ def test_unknown_key_in_any_block_names_it(name, key):
     with pytest.raises(ConfigError) as info:
         validate_config(cfg)
     assert info.value.field == (f"{name}.{key}" if name else key)
+
+
+# ---- the viscous prefetch ---------------------------------------------------
+
+def _force_cpus(monkeypatch, n):
+    """Make the run see n CPUs, whatever the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _hide_fork(monkeypatch):
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn", "forkserver"])
+
+
+def _count_workers(monkeypatch):
+    """The eps of each prefetch worker started, one list per worker."""
+    started = []
+
+    class Counted(vv_analysis.Worker):
+        def __init__(self, ctx, jobs):
+            started.append([eps for eps, _ in jobs])
+            super().__init__(ctx, jobs)
+
+    monkeypatch.setattr(vv_analysis, "Worker", Counted)
+    return started
+
+
+def _written(out):
+    """{file name: contents} of a run's artifacts, the JSON without wall times."""
+    return {f.name: strip_wall_times(json.loads(f.read_text())) if f.suffix == ".json"
+            else f.read_bytes() for f in sorted(out.iterdir())}
+
+
+def _prefetched_run(path, command, out, capsys):
+    """(status, stderr, artifacts, wall times of every artifact) of one run,
+    which must leave no child process behind."""
+    status = run_config(str(path), command, out_dir=str(out))
+    err = capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+    wall = {}
+    for f in out.glob("*.json"):
+        wall.update(json.loads(f.read_text())["wall_times"])
+    return status, err, _written(out), wall
+
+
+STOCHASTIC_BLOCK = {"n_paths": 60, "dt": 5e-4, "delta": 0.1, "kappa": 1.0, "seed": 3,
+                    "eps_list": [0.08, 0.04]}
+
+
+@pytest.mark.parametrize("command, over, eps", [
+    ("all", {"model": TRAVELING_WAVE, "grid": {"nx": 32, "nt": 8},
+             "numerics": {"shoot_tol": 1e-5}}, [0.05, 0.03, 0.02]),
+    ("stochastic", {"grid": {"nx": 64, "nt": 8}, "stochastic": STOCHASTIC_BLOCK}, [0.04]),
+], ids=["all-traveling-wave", "stochastic-mechanical"])
+def test_prefetch_leaves_every_artifact_as_the_serial_run(tmp_path, monkeypatch, capsys,
+                                                          command, over, eps):
+    path = write_config(tmp_path, **over)
+    started = _count_workers(monkeypatch)
+    runs = {}
+    for n_cpus, fork in ((1, True), (2, True), (3, True), (2, False), (3, False)):
+        _force_cpus(monkeypatch, n_cpus)
+        if not fork:
+            _hide_fork(monkeypatch)
+        started.clear()
+        status, err, files, wall = _prefetched_run(
+            path, command, tmp_path / f"cpus{n_cpus}_{fork}", capsys)
+        n = min(len(eps), n_cpus) if fork and n_cpus > 1 else 0
+        assert started == [eps[w::n] for w in range(n)], (n_cpus, fork)
+        for e in eps:
+            seconds = wall[f"viscous_{e}"]
+            assert math.isfinite(seconds) and seconds >= 0.0
+        runs[n_cpus, fork] = status, err, files
+    serial = runs.pop((1, True))
+    assert serial[0] in (0, 2) and serial[2]
+    for key, run in runs.items():
+        assert run == serial, key
+
+
+def test_a_prefetched_solve_that_cannot_lock_fails_its_stage_as_in_process(
+        tmp_path, monkeypatch, capsys):
+    path = write_config(tmp_path, numerics={"max_periods": 4, "cell_tol": 1e-14})
+    runs = []
+    for n_cpus in (1, 2, 3):
+        _force_cpus(monkeypatch, n_cpus)
+        runs.append(_prefetched_run(path, "all", tmp_path / f"cpus{n_cpus}", capsys)[:3])
+    status, err, files = runs[0]
+    assert status == 1
+    assert err.startswith("viscous failed: cell problem did not reach periodicity in "
+                          "4 periods (eps=0.05, last residual ")
+    assert sorted(name.split("_")[0] for name in files) == [
+        "barrier", "barrier", "barrier", "critical", "orbits"]
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_an_earlier_failure_stops_the_busy_solves(tmp_path, monkeypatch, capsys):
+    # the orbits stage fails after 5 barrier sweeps, while the solves, held
+    # to a tolerance they cannot reach, would run their 600 periods
+    path = write_config(tmp_path, model=TRAVELING_WAVE, grid={"nx": 32, "nt": 8},
+                        numerics={"shoot_tol": 1e-5, "max_sweeps": 5, "cell_tol": 1e-15})
+    started = _count_workers(monkeypatch)
+    runs = []
+    for n_cpus in (1, 2):
+        _force_cpus(monkeypatch, n_cpus)
+        status = run_config(str(path), "all", out_dir=str(tmp_path / f"cpus{n_cpus}"))
+        assert multiprocessing.active_children() == []
+        runs.append((status, capsys.readouterr().err))
+    assert started == [[0.05, 0.02], [0.03]]
+    assert runs[0][0] == 1
+    assert runs[0][1].startswith("orbits failed: barrier iteration did not settle in 5 sweeps")
+    assert runs[1] == runs[0]
+    assert not (tmp_path / "cpus1").exists() and not (tmp_path / "cpus2").exists()
+
+
+def test_viscosities_are_the_ones_each_stage_reads(tmp_path):
+    cfg = load_config(str(write_config(tmp_path, stochastic=STOCHASTIC_BLOCK)))
+    pipe = _Pipeline(cfg)
+    assert pipe.viscosities("viscous") == pipe.viscosities("sweep") == [0.05, 0.03, 0.02]
+    assert pipe.viscosities("stochastic") == [0.04]
+    assert pipe.viscosities("barrier") == []
+    del cfg["stochastic"]["eps_list"]
+    assert pipe.viscosities("stochastic") == [0.02]
+    del cfg["stochastic"], cfg["sweep"]
+    assert pipe.viscosities("viscous") == pipe.viscosities("stochastic") == []
+
+
+def test_viscous_without_a_sweep_list_still_fails_at_its_stage(tmp_path, capsys):
+    path = write_config(tmp_path, sweep={})
+    assert run_config(str(path), "viscous") == 1
+    assert capsys.readouterr().err == (
+        "config error at 'sweep.eps_list': viscous stage needs sweep.eps_list\n")
+
+
+def _per_cell_grid_table(grid, **fields):
+    """The grid table as it was built before its index cells were joined once
+    per grid: one cell per column."""
+    a, j = np.divmod(np.arange(grid.nx * grid.nt), grid.nt)
+    columns = [a, j, a / grid.nx, j / grid.nt] + [np.ravel(f) for f in fields.values()]
+    return ("x_index", "t_index", "x", "t", *fields), list(zip(*(c.tolist() for c in columns)))
+
+
+@pytest.mark.parametrize("nx, nt", [(160, 16), (37, 5)])
+def test_grid_tables_write_the_bytes_of_the_per_cell_rows(tmp_path, nx, nt):
+    grid = GridSpec(nx, nt)
+    rng = np.random.default_rng(nx)
+    fields = {"h": rng.normal(size=(nx, nt)), "phi": rng.normal(size=(nx, nt)) * 1e-7}
+    cfg = {"output": {"formats": ["csv"]}}
+    for name, table in (("joined", _grid_table), ("per_cell", _per_cell_grid_table)):
+        emit_reports({}, "barrier", cfg, str(tmp_path / name), {},
+                     {"anchor0": table(grid, **fields), "again": table(grid, **fields)})
+    for f in sorted((tmp_path / "per_cell").iterdir()):
+        assert (tmp_path / "joined" / f.name).read_bytes() == f.read_bytes()

@@ -1,9 +1,11 @@
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
-from weakkam.errors import CompatibilityError, WeakKamError
+from weakkam.errors import CompatibilityError, ConfigError, ConvergenceError, WeakKamError
 from weakkam.model import HamiltonianModel, PotentialSpec
 from weakkam.orbit_hessian import unstable_hessian_curve, lambda_averages
 from weakkam.variational import (GridSpec, Numerics, anchored_barrier, barrier_matrix,
@@ -160,3 +162,42 @@ def test_example_verify_small(tw_model):
 def test_grad_errors_recorded(small_sweep):
     assert len(small_sweep.grad_errors) == 3
     assert all(np.isfinite(small_sweep.grad_errors))
+
+
+@pytest.mark.parametrize("grid, numerics, error", [
+    (GridSpec(32, 8), Numerics(max_periods=4, cell_tol=1e-14), ConvergenceError),
+    (GridSpec(1000, 2), Numerics(), ConfigError),   # CFL-infeasible at eps = 0.05
+])
+def test_a_prefetched_solve_raises_what_the_solve_in_process_raises(
+        bench_model, monkeypatch, grid, numerics, error):
+    def raised(n_cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)),
+                            raising=False)
+        art = Artifacts(bench_model, grid, numerics)
+        art.prefetch([0.05, 0.06])
+        try:
+            with pytest.raises(error) as info:
+                art.solution(0.05)
+            return type(info.value), str(info.value), vars(info.value)
+        finally:
+            art.close()
+
+    serial = raised(1)
+    assert raised(2) == serial
+    assert serial[2]   # the trace, or the field
+    assert multiprocessing.active_children() == []
+
+
+def test_prefetched_solutions_equal_the_in_process_ones(bench_model, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    art = Artifacts(bench_model, GridSpec(48, 8))
+    art.prefetch([0.05, 0.03, 0.05, 0.02])
+    try:
+        # read out of the order the workers solve in
+        for eps in (0.02, 0.05, 0.03):
+            sol, own = art.solution(eps), art._solve(eps)
+            assert sol.c_eps == own.c_eps and np.array_equal(sol.phi, own.phi)
+            assert art.wall[f"viscous_{eps}"] >= 0.0
+    finally:
+        art.close()
+    assert multiprocessing.active_children() == []
